@@ -70,6 +70,10 @@ class AdaptReport:
     adapter_checksum: str
     num_batches: int
     batch_seconds: list = field(default_factory=list)
+    # (N, D) features of the whole stream under the zero adapter and the
+    # final one: the passes behind pre_accuracy and post_accuracy
+    features_pre: np.ndarray = None
+    features_post: np.ndarray = None
 
 
 class SgdOptimizer:
@@ -127,17 +131,17 @@ def make_optimizer(cfg: AdaptConfig):
 def classify(v_row, t) -> int:
     """Index of the category with the highest cosine similarity; ties go
     to the lowest index."""
-    tm = t.matrix if isinstance(t, CategoryEmbeddings) else t
-    row = num.value_of(v_row).reshape(1, -1)
-    sims = num.value_of(num.cosine_similarity_matrix(row, tm))
-    return int(sims[0].argmax())
+    return int(_nearest_category(num.value_of(v_row).reshape(1, -1), t)[0])
 
 
 def classify_batch(encoder, images, adapter, t) -> np.ndarray:
     """Per-image labels for a stack of images (vectorized inference; no
     cross-image coupling, each row is classified independently)."""
+    return _nearest_category(num.value_of(encoder.encode_batch(images, adapter)), t)
+
+
+def _nearest_category(feats: np.ndarray, t) -> np.ndarray:
     tm = t.matrix if isinstance(t, CategoryEmbeddings) else t
-    feats = num.value_of(encoder.encode_batch(images, adapter))
     sims = num.value_of(num.cosine_similarity_matrix(feats, tm))
     return sims.argmax(axis=1)
 
@@ -166,12 +170,14 @@ def adapt_batch(encoder, images, adapter, t, cfg: AdaptConfig, optimizer=None):
         optimizer = make_optimizer(cfg)
     tm = t.matrix if isinstance(t, CategoryEmbeddings) else t
 
+    # the frozen layers before the adapter see the same images every step
+    prefix = encoder.prefix(imgs)
     tokens = adapter.tokens
     history: list[LossBreakdown] = []
     snap = optimizer.snapshot()
 
     def objective(tok):
-        v = encoder.encode_batch(imgs, tok)
+        v = encoder.suffix(prefix, tok)
         bd = total_objective(
             v,
             tm,
@@ -209,7 +215,7 @@ def run_stream(encoder, dataset, t, cfg: AdaptConfig) -> AdaptReport:
     ``dataset`` provides ``images`` (N, C, H, W) and ``labels`` (N,);
     labels feed only the metrics. Online accuracy is predict-then-adapt
     per batch; pre/post accuracies are full passes with the zero adapter
-    and the final adapter.
+    and the final adapter, and the report keeps the features of both.
     """
     images = np.asarray(dataset.images, dtype=np.float64)
     labels = np.asarray(dataset.labels)
@@ -217,8 +223,11 @@ def run_stream(encoder, dataset, t, cfg: AdaptConfig) -> AdaptReport:
     if n == 0:
         raise ConfigError("empty dataset")
 
-    zero = encoder.new_adapter()
-    pre_accuracy = evaluate(encoder, images, labels, zero, t)
+    def full_pass(adapter):
+        feats = num.value_of(encoder.encode_batch(images, adapter))
+        return feats, float((_nearest_category(feats, t) == labels).mean())
+
+    features_pre, pre_accuracy = full_pass(encoder.new_adapter())
 
     adapter = encoder.new_adapter()
     optimizer = make_optimizer(cfg)
@@ -239,7 +248,7 @@ def run_stream(encoder, dataset, t, cfg: AdaptConfig) -> AdaptReport:
         history.extend(bds)
         batch_seconds.append(time.perf_counter() - t0)
 
-    post_accuracy = evaluate(encoder, images, labels, adapter, t)
+    features_post, post_accuracy = full_pass(adapter)
     checksum = hashlib.sha256(adapter.tokens.tobytes()).hexdigest()
     return AdaptReport(
         history=history,
@@ -250,4 +259,6 @@ def run_stream(encoder, dataset, t, cfg: AdaptConfig) -> AdaptReport:
         adapter_checksum=checksum,
         num_batches=num_batches,
         batch_seconds=batch_seconds,
+        features_pre=features_pre,
+        features_post=features_post,
     )

@@ -62,8 +62,12 @@ def _rel_err(approx: np.ndarray, reference: np.ndarray) -> float:
 
 
 def _component_closure(component, encoder, images, t):
+    # the frozen prefix does not depend on the tokens, so neither route
+    # differentiates through it; both evaluate only the suffix
+    prefix = encoder.prefix(images)
+
     def f(tokens):
-        v = encoder.encode_batch(images, tokens)
+        v = encoder.suffix(prefix, tokens)
         assoc = association_map(v, t)
         if component == "ent":
             return loss_entropy(assoc)

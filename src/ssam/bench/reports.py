@@ -88,12 +88,9 @@ class ReportBundle:
 
 def run_experiment(encoder, dataset, emb, cfg: AdaptConfig) -> ReportBundle:
     report = run_stream(encoder, dataset, emb, cfg)
-    images = np.asarray(dataset.images, dtype=np.float64)
     labels = np.asarray(dataset.labels, dtype=np.int64)
     m = emb.num_categories
-
-    feats_pre = num.value_of(encoder.encode_batch(images, encoder.new_adapter()))
-    feats_post = num.value_of(encoder.encode_batch(images, report.adapter))
+    feats_pre, feats_post = report.features_pre, report.features_post
 
     summary = {
         "encoder_family": encoder.family,

@@ -12,7 +12,9 @@ Weights are drawn from a seeded generator at construction, marked
 read-only, and never change afterwards; adaptation only ever touches the
 adapter tokens. All forward code routes through the graph primitives in
 :mod:`ssam.numerics`, so the same functions serve both the plain-array
-evaluation path and the reverse-mode gradient path.
+evaluation path and the reverse-mode gradient path. Each encoder splits
+at the adapter into a frozen ``prefix`` (plain arrays, once per batch)
+and a ``suffix`` on the tape; ``encode_batch`` composes the two.
 """
 
 from __future__ import annotations
@@ -71,18 +73,6 @@ def _batch_matmul_nt(a, b):
     )
 
 
-def _softmax_last(x):
-    xv = num.value_of(x)
-    z = xv - xv.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    y = e / e.sum(axis=-1, keepdims=True)
-
-    def vjp(g):
-        return y * (g - (g * y).sum(axis=-1, keepdims=True))
-
-    return num.custom_node("softmax_last", y, ((x, vjp),))
-
-
 def _center_last(x):
     """Subtract the per-token feature mean (layer-norm stand-in)."""
     xv = num.value_of(x)
@@ -94,31 +84,35 @@ def _center_last(x):
     return num.custom_node("center_last", out, ((x, vjp),))
 
 
-def _conv3x3_same(x, w: np.ndarray):
-    """3x3 same-padding conv, (B, C, H, W) x (D, C, 3, 3) -> (B, D, H, W).
+def _conv3x3(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """3x3 same-padding conv on plain arrays, (B, C, H, W) x (D, C, 3, 3)
+    -> (B, D, H, W), as one im2col matmul.
 
-    Forward is one im2col matmul; this path sits inside finite-difference
-    loops, so per-call overhead matters more than memory.
+    This path sits inside finite-difference loops, so per-call overhead
+    matters more than memory.
     """
-    xv = num.value_of(x)
-    bsz, cin, h, wd = xv.shape
+    bsz, cin, h, wd = x.shape
     dout = w.shape[0]
-    pad = np.pad(xv, ((0, 0), (0, 0), (1, 1), (1, 1)))
+    pad = np.zeros((bsz, cin, h + 2, wd + 2))
+    pad[:, :, 1:-1, 1:-1] = x
     win = np.lib.stride_tricks.sliding_window_view(pad, (3, 3), axis=(2, 3))
-    cols = win.transpose(0, 2, 3, 1, 4, 5).reshape(bsz * h * wd, cin * 9)
-    out = (cols @ w.reshape(dout, cin * 9).T).reshape(bsz, h, wd, dout)
-    out = np.ascontiguousarray(out.transpose(0, 3, 1, 2))
+    # one (C*9, H*W) column matrix per image, rows in the kernel's order
+    cols = win.transpose(0, 1, 4, 5, 2, 3).reshape(bsz, cin * 9, h * wd)
+    return (w.reshape(dout, cin * 9) @ cols).reshape(bsz, dout, h, wd)
+
+
+def _conv3x3_same(x, w: np.ndarray):
+    """Graph node for :func:`_conv3x3`; gradients flow to ``x`` only.
+
+    The input gradient of a same-padding conv is the same conv of the
+    output gradient with the kernel's channels swapped and its taps
+    flipped, so the backward reuses the forward's single matmul.
+    """
 
     def vjp(g):
-        gpad = np.zeros_like(pad)
-        for i in range(3):
-            for j in range(3):
-                gpad[:, :, i : i + h, j : j + wd] += np.einsum(
-                    "dc,bdhw->bchw", w[:, :, i, j], g
-                )
-        return gpad[:, :, 1:-1, 1:-1]
+        return _conv3x3(g, w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))
 
-    return num.custom_node("conv3x3_same", out, ((x, vjp),))
+    return num.custom_node("conv3x3_same", _conv3x3(num.value_of(x), w), ((x, vjp),))
 
 
 def tile_tokens(tokens, grid: tuple[int, int], s: int):
@@ -216,13 +210,65 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-class ToyViTEncoder:
+class _FrozenEncoder:
+    """What both encoder families share.
+
+    An encoder is split where the adapter enters. ``prefix(images)``
+    checks the images and runs the frozen layers before the adapter on
+    plain arrays; it does not depend on the adapter, so a caller that
+    takes several steps on one batch computes it once.
+    ``suffix(prefix, adapter)`` adds the adapter and runs the rest of the
+    forward pass on the tape. ``encode_batch`` is the one composed with
+    the other. Subclasses set ``image_shape``, ``dim`` and
+    ``adapter_shape`` and yield their frozen arrays from
+    ``_weight_arrays``.
+    """
+
+    def new_adapter(self) -> AdapterParams:
+        return AdapterParams.zeros(*self.adapter_shape)
+
+    def weights_checksum(self) -> str:
+        digest = hashlib.sha256()
+        for arr in self._weight_arrays():
+            digest.update(arr.tobytes())
+        return digest.hexdigest()
+
+    def _check_images(self, images, single: bool = False) -> np.ndarray:
+        arr = np.asarray(images, dtype=np.float64)
+        want = self.image_shape if single else (None,) + self.image_shape
+        if single:
+            ok = arr.shape == self.image_shape
+        else:
+            ok = arr.ndim == 4 and arr.shape[1:] == self.image_shape
+        if not ok:
+            raise DimensionError(f"expected images shaped {want}, got {arr.shape}")
+        if not np.all(np.isfinite(arr)):
+            raise NumericError("images contain non-finite values")
+        return arr
+
+    def _check_adapter(self, adapter):
+        tokens = _tokens_of(adapter)
+        tv = num.value_of(tokens)
+        if tv.shape != self.adapter_shape:
+            raise DimensionError(
+                f"adapter shape {tv.shape} does not match encoder {self.adapter_shape}"
+            )
+        return tokens
+
+    def encode(self, img, adapter):
+        arr = self._check_images(img, single=True)
+        out = self.encode_batch(arr[None], adapter)
+        return num.reshape(out, (self.dim,))
+
+
+class ToyViTEncoder(_FrozenEncoder):
     """Patch transformer at desk scale: linear patch embedding, then
     ``num_blocks`` blocks of mean-centered single-head attention and a
     2-layer tanh MLP, mean-pooled over tokens. No class token; pooling is
     the token mean. The adapter is added to the running token matrix
     immediately before block ``insertion_layer`` (``== num_blocks`` means
-    after the last block, before pooling)."""
+    after the last block, before pooling), so the frozen prefix is the
+    patch embedding and the blocks before it."""
 
     family = "vit"
 
@@ -274,20 +320,11 @@ class ToyViTEncoder:
     def adapter_shape(self) -> tuple[int, int]:
         return (self.num_patches, self.dim)
 
-    def new_adapter(self) -> AdapterParams:
-        return AdapterParams.zeros(*self.adapter_shape)
-
     def _weight_arrays(self):
         yield self.w_embed
         for blk in self.blocks:
             for name in ("wq", "wk", "wv", "wo", "w1", "w2"):
                 yield blk[name]
-
-    def weights_checksum(self) -> str:
-        digest = hashlib.sha256()
-        for arr in self._weight_arrays():
-            digest.update(arr.tobytes())
-        return digest.hexdigest()
 
     def extract_patch_blocks(self, img: np.ndarray) -> np.ndarray:
         """Raw flattened patches, (N, C*ph*pw), row-major over the grid."""
@@ -306,63 +343,42 @@ class ToyViTEncoder:
         x = imgs.reshape(b, c, gr, ph, gc, pw).transpose(0, 2, 4, 1, 3, 5)
         return x.reshape(b, gr * gc, c * ph * pw)
 
-    def _check_images(self, images, single: bool = False) -> np.ndarray:
-        arr = np.asarray(images, dtype=np.float64)
-        want = self.image_shape if single else (None,) + self.image_shape
-        if single:
-            ok = arr.shape == self.image_shape
-        else:
-            ok = arr.ndim == 4 and arr.shape[1:] == self.image_shape
-        if not ok:
-            raise DimensionError(f"expected images shaped {want}, got {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise NumericError("images contain non-finite values")
-        return arr
-
-    def _check_adapter(self, adapter):
-        tokens = _tokens_of(adapter)
-        tv = num.value_of(tokens)
-        if tv.shape != self.adapter_shape:
-            raise DimensionError(
-                f"adapter shape {tv.shape} does not match encoder {self.adapter_shape}"
-            )
-        return tokens
-
     def _block_forward(self, x, blk):
         xc = _center_last(x)
         q = _tokens_linear(xc, blk["wq"])
         k = _tokens_linear(xc, blk["wk"])
         v = _tokens_linear(xc, blk["wv"])
         scores = num.mul(_batch_matmul_nt(q, k), self._attn_scale)
-        mixed = _tokens_linear(_batch_matmul(_softmax_last(scores), v), blk["wo"])
+        mixed = _tokens_linear(_batch_matmul(num.row_softmax(scores), v), blk["wo"])
         x = num.add(x, mixed)
         hidden = num.tanh(_tokens_linear(_center_last(x), blk["w1"]))
         return num.add(x, _tokens_linear(hidden, blk["w2"]))
 
+    def prefix(self, images) -> np.ndarray:
+        """The (B, N, D) tokens that enter block ``insertion_layer``."""
+        x = self._blocks_of(self._check_images(images)) @ self.w_embed
+        for blk in self.blocks[: self.insertion_layer]:
+            x = self._block_forward(x, blk)
+        return x
+
+    def suffix(self, prefix, adapter):
+        """Add the adapter to the prefix tokens, run the remaining blocks
+        and pool to (B, D) features."""
+        x = apply_adapter_vit(prefix, self._check_adapter(adapter))
+        for blk in self.blocks[self.insertion_layer :]:
+            x = self._block_forward(x, blk)
+        return num.mean_axis(x, axis=1)
+
     def encode_batch(self, images, adapter):
         """Encode (B, C, H, W) images to (B, D) features; differentiable in
         the adapter tokens."""
-        imgs = self._check_images(images)
-        tokens = self._check_adapter(adapter)
-        x = self._blocks_of(imgs) @ self.w_embed
-        for i, blk in enumerate(self.blocks):
-            if i == self.insertion_layer:
-                x = apply_adapter_vit(x, tokens)
-            x = self._block_forward(x, blk)
-        if self.insertion_layer == self.num_blocks:
-            x = apply_adapter_vit(x, tokens)
-        return num.mean_axis(x, axis=1)
-
-    def encode(self, img, adapter):
-        arr = self._check_images(img, single=True)
-        out = self.encode_batch(arr[None], adapter)
-        return num.reshape(out, (self.dim,))
+        return self.suffix(self.prefix(images), adapter)
 
 
-class ToyConvEncoder:
-    """Small conv encoder: a first 3x3 conv produces the hidden map the
-    adapter is tiled onto, then two more 3x3 convs (tanh between) and a
-    global average pool."""
+class ToyConvEncoder(_FrozenEncoder):
+    """Small conv encoder: a first 3x3 conv (the frozen prefix) produces
+    the hidden map the adapter is tiled onto, then two more 3x3 convs
+    (tanh between) and a global average pool."""
 
     family = "conv"
 
@@ -394,53 +410,26 @@ class ToyConvEncoder:
     def adapter_shape(self) -> tuple[int, int]:
         return (self.num_tokens, self.dim)
 
-    def new_adapter(self) -> AdapterParams:
-        return AdapterParams.zeros(*self.adapter_shape)
-
     def _weight_arrays(self):
         yield self.w1
         yield self.w2
         yield self.w3
 
-    def weights_checksum(self) -> str:
-        digest = hashlib.sha256()
-        for arr in self._weight_arrays():
-            digest.update(arr.tobytes())
-        return digest.hexdigest()
+    def prefix(self, images) -> np.ndarray:
+        """The first conv's (B, D, H, W) map."""
+        return _conv3x3_same(self._check_images(images), self.w1)
 
-    def _check_images(self, images, single: bool = False) -> np.ndarray:
-        arr = np.asarray(images, dtype=np.float64)
-        if single:
-            ok = arr.shape == self.image_shape
-        else:
-            ok = arr.ndim == 4 and arr.shape[1:] == self.image_shape
-        if not ok:
-            raise DimensionError(
-                f"expected images shaped {self.image_shape}, got {arr.shape}"
-            )
-        if not np.all(np.isfinite(arr)):
-            raise NumericError("images contain non-finite values")
-        return arr
-
-    def encode_batch(self, images, adapter):
-        imgs = self._check_images(images)
-        tokens = _tokens_of(adapter)
-        tv = num.value_of(tokens)
-        if tv.shape != self.adapter_shape:
-            raise DimensionError(
-                f"adapter shape {tv.shape} does not match encoder {self.adapter_shape}"
-            )
-        z = _conv3x3_same(imgs, self.w1)
-        z = apply_adapter_conv(z, tokens, self.patch_side)
+    def suffix(self, prefix, adapter):
+        """Tile the adapter onto the prefix map, run the other two convs
+        and pool to (B, D) features."""
+        z = apply_adapter_conv(prefix, self._check_adapter(adapter), self.patch_side)
         h = num.tanh(z)
         h = num.tanh(_conv3x3_same(h, self.w2))
         h = num.tanh(_conv3x3_same(h, self.w3))
         return num.mean_axis(num.mean_axis(h, axis=3), axis=2)
 
-    def encode(self, img, adapter):
-        arr = self._check_images(img, single=True)
-        out = self.encode_batch(arr[None], adapter)
-        return num.reshape(out, (self.dim,))
+    def encode_batch(self, images, adapter):
+        return self.suffix(self.prefix(images), adapter)
 
 
 # ---------------------------------------------------------------------------

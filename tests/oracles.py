@@ -106,3 +106,46 @@ def naive_loss_entropy(A_norm):
             if p > 0.0:
                 total += p * math.log(p)
     return -total / b
+
+
+def naive_conv3x3_same(x, w):
+    """out[b][d][y][x] = sum over c, i, j of w[d][c][i][j] x[b][c][y+i-1][x+j-1],
+    with taps that fall outside the image reading zero."""
+    x, w = np.asarray(x), np.asarray(w)
+    bsz, cin, h, wd = x.shape
+    dout = w.shape[0]
+    out = np.zeros((bsz, dout, h, wd))
+    for b in range(bsz):
+        for d in range(dout):
+            for y in range(h):
+                for xx in range(wd):
+                    acc = 0.0
+                    for c in range(cin):
+                        for i in range(3):
+                            for j in range(3):
+                                yy, xj = y + i - 1, xx + j - 1
+                                if 0 <= yy < h and 0 <= xj < wd:
+                                    acc += float(w[d][c][i][j]) * float(x[b][c][yy][xj])
+                    out[b][d][y][xx] = acc
+    return out
+
+
+def naive_conv3x3_same_vjp(g, w, x_shape):
+    """Input gradient of :func:`naive_conv3x3_same`: every output cell
+    scatters g times each tap's weight back onto the input pixel it read."""
+    g, w = np.asarray(g), np.asarray(w)
+    bsz, cin, h, wd = x_shape
+    dout = w.shape[0]
+    gx = np.zeros(x_shape)
+    for b in range(bsz):
+        for d in range(dout):
+            for y in range(h):
+                for xx in range(wd):
+                    gv = float(g[b][d][y][xx])
+                    for c in range(cin):
+                        for i in range(3):
+                            for j in range(3):
+                                yy, xj = y + i - 1, xx + j - 1
+                                if 0 <= yy < h and 0 <= xj < wd:
+                                    gx[b][c][yy][xj] += float(w[d][c][i][j]) * gv
+    return gx

@@ -201,6 +201,37 @@ class TestAdaptBatch:
         assert np.array_equal(opt.m, m_before)
 
 
+class TestFrozenPrefix:
+    def test_prefix_computed_once_per_batch(self, monkeypatch):
+        enc, emb, imgs = _batch_setup()
+        calls = {"prefix": 0, "suffix": 0}
+        for name in calls:
+            original = getattr(enc, name)
+
+            def counted(*args, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(enc, name, counted)
+        cfg = AdaptConfig(learning_rate=1e-2, steps_per_batch=5)
+        _, history = adapt_batch(enc, imgs, enc.new_adapter(), emb, cfg)
+        assert len(history) == 5
+        assert calls == {"prefix": 1, "suffix": 5}
+
+    def test_nonfinite_image_raises_and_keeps_optimizer_state(self):
+        enc, emb, imgs = _batch_setup()
+        cfg = AdaptConfig(learning_rate=1e-2, steps_per_batch=2)
+        opt = make_optimizer(cfg)
+        adapter, _ = adapt_batch(enc, imgs, enc.new_adapter(), emb, cfg, opt)
+        t_before, m_before, v_before = opt.snapshot()
+        bad = imgs.copy()
+        bad[3, 1, 0, 2] = np.nan
+        with pytest.raises(NumericError):
+            adapt_batch(enc, bad, adapter, emb, cfg, opt)
+        assert opt.t == t_before
+        assert np.array_equal(opt.m, m_before) and np.array_equal(opt.v, v_before)
+
+
 class TestRunStream:
     def _dataset(self, enc, n=24, m=3, seed=5):
         rng = np.random.default_rng(seed)
@@ -266,6 +297,19 @@ class TestRunStream:
             classify(num.value_of(enc.encode(img, zero)), emb) for img in ds.images
         ]
         assert np.array_equal(batch_preds, per_image)  # label for label
+
+    def test_report_keeps_the_full_pass_features(self):
+        for enc in (_small_vit(), ToyConvEncoder(image_shape=(3, 4, 4), dim=8, seed=2)):
+            emb = embed_categories(3, 8, seed=1)
+            ds = self._dataset(enc)
+            cfg = AdaptConfig(batch_size=8, learning_rate=1e-2, steps_per_batch=2)
+            rep = run_stream(enc, ds, emb, cfg)
+            pre = num.value_of(enc.encode_batch(ds.images, enc.new_adapter()))
+            post = num.value_of(enc.encode_batch(ds.images, rep.adapter))
+            assert np.array_equal(rep.features_pre, pre)
+            assert np.array_equal(rep.features_post, post)
+            assert rep.pre_accuracy == evaluate(enc, ds.images, ds.labels, enc.new_adapter(), emb)
+            assert rep.post_accuracy == evaluate(enc, ds.images, ds.labels, rep.adapter, emb)
 
     def test_empty_dataset_rejected(self):
         enc, emb, _ = _batch_setup()

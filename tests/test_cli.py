@@ -1,11 +1,14 @@
 """End-to-end command line checks, run in-process through main()."""
 
 import json
+import os
+import pathlib
 import subprocess
 import sys
 
 import pytest
 
+import ssam
 from ssam.bench.cli import main
 
 TINY_SPEC = {
@@ -224,10 +227,15 @@ def test_help_exits_zero():
 
 
 def test_module_entry_point_runs():
+    # the child must import the package under test, which need not be
+    # installed: pytest may have put src/ on the path itself
+    src = str(pathlib.Path(ssam.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
         [sys.executable, "-m", "ssam.bench.cli", "--help"],
         capture_output=True,
         text=True,
+        env=dict(os.environ, PYTHONPATH=path),
     )
     assert proc.returncode == 0
     assert "gen-data" in proc.stdout

@@ -26,7 +26,7 @@ from ssam.errors import (
     NumericError,
 )
 
-from oracles import rel_err
+from oracles import naive_conv3x3_same, naive_conv3x3_same_vjp, rel_err
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 
@@ -248,6 +248,64 @@ def test_encode_gradient_matches_finite_differences(family, insertion):
     fd = num.finite_difference_gradient(objective, tokens0)
     assert rel_err(analytic, fd) <= 1e-4
     assert np.abs(analytic).max() > 1e-6  # not vacuous
+
+
+@pytest.mark.parametrize("shape,dout", [((1, 3, 5, 4), 6), ((2, 4, 4, 6), 2)])
+def test_conv3x3_same_matches_naive_loops(shape, dout):
+    # cin != dout and H != W, so a swapped channel axis or a transposed
+    # spatial grid cannot pass; B = 1 catches a batch axis folded wrongly
+    rng = np.random.default_rng(17)
+    x = rng.normal(size=shape)
+    w = rng.normal(size=(dout, shape[1], 3, 3))
+    out = encoders._conv3x3_same(num.leaf(x), w)
+    assert rel_err(num.value_of(out), naive_conv3x3_same(x, w)) <= 1e-12
+    g = rng.normal(size=out.shape)
+    ((_, vjp),) = out._edges
+    gx = vjp(g)
+    assert gx.shape == x.shape
+    assert rel_err(gx, naive_conv3x3_same_vjp(g, w, x.shape)) <= 1e-12
+    # the backward is the adjoint of the forward: <conv(x), g> == <x, vjp(g)>
+    lhs, rhs = float((num.value_of(out) * g).sum()), float((x * gx).sum())
+    assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), 1.0)
+
+
+def _split_cells():
+    for il in range(4):
+        yield ToyViTEncoder(
+            image_shape=(3, 4, 4), patch_grid=(2, 2), dim=8,
+            num_blocks=3, insertion_layer=il, seed=4,
+        )
+    yield ToyConvEncoder(image_shape=(3, 4, 4), dim=8, patch_side=2, seed=4)
+
+
+@pytest.mark.parametrize("enc", list(_split_cells()), ids=lambda e: f"{e.family}-{getattr(e, 'insertion_layer', '-')}")
+def test_suffix_of_prefix_is_encode_batch(enc):
+    rng = np.random.default_rng(5)
+    imgs = rng.normal(size=(3,) + enc.image_shape)
+    weights = rng.normal(size=(3, enc.dim))
+    tokens = rng.normal(0.0, 0.2, enc.adapter_shape)
+    prefix = enc.prefix(imgs)
+    assert type(prefix) is np.ndarray  # computed once, off the tape
+    assert np.array_equal(enc.suffix(prefix, tokens), enc.encode_batch(imgs, tokens))
+
+    def through_split(tok):
+        return num.total_sum(num.mul(enc.suffix(prefix, tok), weights))
+
+    def whole(tok):
+        return num.total_sum(num.mul(enc.encode_batch(imgs, tok), weights))
+
+    split_res = num.value_and_gradient(through_split, tokens)
+    whole_res = num.value_and_gradient(whole, tokens)
+    assert split_res.value == whole_res.value
+    assert np.array_equal(split_res.gradient, whole_res.gradient)
+
+
+def test_prefix_rejects_nonfinite_images():
+    for enc in _split_cells():
+        imgs = _test_image((2,) + enc.image_shape)
+        imgs[1, 0, 0, 0] = np.inf
+        with pytest.raises(NumericError):
+            enc.prefix(imgs)
 
 
 class TestCategoryEmbeddings:
