@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import numerics as num
-from .encoders import AdapterParams, CategoryEmbeddings
+from .encoders import AdapterParams
 from .errors import ConfigError, NumericError
 from .objectives import LossBreakdown, total_objective
 
@@ -141,8 +141,7 @@ def classify_batch(encoder, images, adapter, t) -> np.ndarray:
 
 
 def _nearest_category(feats: np.ndarray, t) -> np.ndarray:
-    tm = t.matrix if isinstance(t, CategoryEmbeddings) else t
-    sims = num.value_of(num.cosine_similarity_matrix(feats, tm))
+    sims = num.value_of(num.cosine_similarity_matrix(feats, t))
     return sims.argmax(axis=1)
 
 
@@ -168,7 +167,6 @@ def adapt_batch(encoder, images, adapter, t, cfg: AdaptConfig, optimizer=None):
         raise ConfigError("adapt_batch needs a nonempty batch")
     if optimizer is None:
         optimizer = make_optimizer(cfg)
-    tm = t.matrix if isinstance(t, CategoryEmbeddings) else t
 
     # the frozen layers before the adapter see the same images every step
     prefix = encoder.prefix(imgs)
@@ -180,7 +178,7 @@ def adapt_batch(encoder, images, adapter, t, cfg: AdaptConfig, optimizer=None):
         v = encoder.suffix(prefix, tok)
         bd = total_objective(
             v,
-            tm,
+            t,
             alpha=cfg.alpha,
             beta=cfg.beta,
             temperature=cfg.temperature,

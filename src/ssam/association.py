@@ -13,10 +13,7 @@ losses differentiate through both the map and the prototypes.
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import numerics as num
-from .encoders import CategoryEmbeddings
 from .errors import DimensionError
 
 
@@ -27,14 +24,6 @@ class AssociationMap:
     raw: object
     norm: object
 
-    @property
-    def batch_size(self) -> int:
-        return num.value_of(self.norm).shape[0]
-
-    @property
-    def num_categories(self) -> int:
-        return num.value_of(self.norm).shape[1]
-
 
 @dataclass
 class Prototypes:
@@ -43,19 +32,11 @@ class Prototypes:
     p: object
     mass: object
 
-    @property
-    def num_categories(self) -> int:
-        return num.value_of(self.p).shape[0]
-
-
-def _matrix_of(t):
-    return t.matrix if isinstance(t, CategoryEmbeddings) else t
-
 
 def association_map(v, t) -> AssociationMap:
     """Cosine association between batch features and category directions,
     with the row-stochastic normalization used by every loss."""
-    raw = num.cosine_similarity_matrix(v, _matrix_of(t))
+    raw = num.cosine_similarity_matrix(v, t)
     return AssociationMap(raw=raw, norm=num.row_softmax(raw))
 
 

@@ -133,9 +133,14 @@ def _load_grid(path):
         return None, None
     with open(path) as fh:
         raw = json.load(fh)
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{path}: grid must be a JSON object")
     unknown = set(raw) - {"alpha", "beta"}
     if unknown:
         raise ConfigError(f"unknown grid keys {sorted(unknown)} in {path}")
+    for key, values in raw.items():
+        if not (isinstance(values, list) and all(type(x) in (int, float) for x in values)):
+            raise ConfigError(f"{path}: grid {key!r} must be a list of numbers, got {values!r}")
     return raw.get("alpha"), raw.get("beta")
 
 

@@ -92,7 +92,7 @@ def _categories(m: int, d: int, rng) -> np.ndarray:
 
 def _encoder_cells(d: int, n: int):
     g = int(round(np.sqrt(n)))
-    if g * g != n or g < 1:
+    if g * g != n:
         raise ConfigError(f"token count must be a perfect square, got {n}")
     shape = (3, 2 * g, 2 * g)
     blocks = 3
@@ -136,6 +136,8 @@ def gradcheck_command(
         raise ConfigError(f"categories must be in [2, {MAX_CATEGORIES}], got {m}")
     if not (1 <= d <= MAX_DIM):
         raise ConfigError(f"feature dim must be in [1, {MAX_DIM}], got {d}")
+    if n < 1:
+        raise ConfigError(f"token count must be >= 1, got {n}")
     if corrupt is not None and corrupt not in COMPONENTS:
         raise ConfigError(f"corrupt target must be one of {COMPONENTS}, got {corrupt!r}")
 

@@ -214,7 +214,11 @@ def _thread_count(threads) -> int:
     if threads is not None:
         n = int(threads)
     else:
-        n = int(os.environ.get(THREADS_ENV, "0") or 0)
+        raw = os.environ.get(THREADS_ENV, "0") or "0"
+        try:
+            n = int(raw)
+        except ValueError:
+            raise ConfigError(f"{THREADS_ENV} must be an integer, got {raw!r}") from None
     if n <= 0:
         n = os.cpu_count() or 1
     return n

@@ -43,6 +43,16 @@ _HEADER = struct.Struct("<8sIIIIII")
 HEADER_SIZE = _HEADER.size  # 32
 
 
+def _json_like(value, default) -> bool:
+    """Whether a JSON value has the type of a spec field's default: a
+    float field takes any number, a tuple field a list, bool is no number."""
+    if isinstance(default, tuple):
+        return isinstance(value, list) and all(_json_like(v, default[0]) for v in value)
+    if isinstance(default, float):
+        return type(value) in (int, float)
+    return type(value) is type(default)
+
+
 @dataclass
 class SyntheticShiftSpec:
     num_classes: int = 4
@@ -78,10 +88,17 @@ class SyntheticShiftSpec:
     def from_json(cls, path) -> "SyntheticShiftSpec":
         with open(path) as fh:
             raw = json.load(fh)
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(raw) - known
+        if not isinstance(raw, dict):
+            raise ConfigError(f"{path}: spec must be a JSON object")
+        defaults = {f.name: f.default for f in dataclasses.fields(cls)}
+        unknown = set(raw) - set(defaults)
         if unknown:
             raise ConfigError(f"unknown spec keys {sorted(unknown)} in {path}")
+        for key, value in raw.items():
+            if not _json_like(value, defaults[key]):
+                raise ConfigError(
+                    f"{path}: {key} must be typed like {defaults[key]!r}, got {value!r}"
+                )
         return cls(**raw)
 
     def to_json(self, path) -> None:

@@ -41,38 +41,6 @@ EMB_MAGIC = b"SSAMEMB1"
 # batched graph ops (images are constants; only adapter tokens carry grad)
 
 
-def _tokens_linear(x, w: np.ndarray):
-    """(..., D1) @ (D1, D2) applied to every token."""
-    xv = num.value_of(x)
-    return num.custom_node("tokens_linear", xv @ w, ((x, lambda g: g @ w.T),))
-
-
-def _batch_matmul(a, b):
-    """(B, N, K) @ (B, K, M)."""
-    av, bv = num.value_of(a), num.value_of(b)
-    return num.custom_node(
-        "batch_matmul",
-        av @ bv,
-        (
-            (a, lambda g: g @ bv.swapaxes(-1, -2)),
-            (b, lambda g: av.swapaxes(-1, -2) @ g),
-        ),
-    )
-
-
-def _batch_matmul_nt(a, b):
-    """(B, N, D) @ (B, M, D)^T per batch element."""
-    av, bv = num.value_of(a), num.value_of(b)
-    return num.custom_node(
-        "batch_matmul_nt",
-        av @ bv.swapaxes(-1, -2),
-        (
-            (a, lambda g: g @ bv),
-            (b, lambda g: g.swapaxes(-1, -2) @ av),
-        ),
-    )
-
-
 def _center_last(x):
     """Subtract the per-token feature mean (layer-norm stand-in)."""
     xv = num.value_of(x)
@@ -167,9 +135,6 @@ class AdapterParams:
     def dim(self) -> int:
         return self.tokens.shape[1]
 
-    def copy(self) -> "AdapterParams":
-        return AdapterParams(self.tokens.copy())
-
 
 def _tokens_of(adapter):
     return adapter.tokens if isinstance(adapter, AdapterParams) else adapter
@@ -245,15 +210,6 @@ class _FrozenEncoder:
         if not np.all(np.isfinite(arr)):
             raise NumericError("images contain non-finite values")
         return arr
-
-    def _check_adapter(self, adapter):
-        tokens = _tokens_of(adapter)
-        tv = num.value_of(tokens)
-        if tv.shape != self.adapter_shape:
-            raise DimensionError(
-                f"adapter shape {tv.shape} does not match encoder {self.adapter_shape}"
-            )
-        return tokens
 
     def encode(self, img, adapter):
         arr = self._check_images(img, single=True)
@@ -345,14 +301,14 @@ class ToyViTEncoder(_FrozenEncoder):
 
     def _block_forward(self, x, blk):
         xc = _center_last(x)
-        q = _tokens_linear(xc, blk["wq"])
-        k = _tokens_linear(xc, blk["wk"])
-        v = _tokens_linear(xc, blk["wv"])
-        scores = num.mul(_batch_matmul_nt(q, k), self._attn_scale)
-        mixed = _tokens_linear(_batch_matmul(num.row_softmax(scores), v), blk["wo"])
+        q = num.matmul(xc, blk["wq"])
+        k = num.matmul(xc, blk["wk"])
+        v = num.matmul(xc, blk["wv"])
+        scores = num.mul(num.matmul(q, num.transpose(k)), self._attn_scale)
+        mixed = num.matmul(num.matmul(num.row_softmax(scores), v), blk["wo"])
         x = num.add(x, mixed)
-        hidden = num.tanh(_tokens_linear(_center_last(x), blk["w1"]))
-        return num.add(x, _tokens_linear(hidden, blk["w2"]))
+        hidden = num.tanh(num.matmul(_center_last(x), blk["w1"]))
+        return num.add(x, num.matmul(hidden, blk["w2"]))
 
     def prefix(self, images) -> np.ndarray:
         """The (B, N, D) tokens that enter block ``insertion_layer``."""
@@ -364,7 +320,7 @@ class ToyViTEncoder(_FrozenEncoder):
     def suffix(self, prefix, adapter):
         """Add the adapter to the prefix tokens, run the remaining blocks
         and pool to (B, D) features."""
-        x = apply_adapter_vit(prefix, self._check_adapter(adapter))
+        x = apply_adapter_vit(prefix, adapter)
         for blk in self.blocks[self.insertion_layer :]:
             x = self._block_forward(x, blk)
         return num.mean_axis(x, axis=1)
@@ -422,7 +378,7 @@ class ToyConvEncoder(_FrozenEncoder):
     def suffix(self, prefix, adapter):
         """Tile the adapter onto the prefix map, run the other two convs
         and pool to (B, D) features."""
-        z = apply_adapter_conv(prefix, self._check_adapter(adapter), self.patch_side)
+        z = apply_adapter_conv(prefix, adapter, self.patch_side)
         h = num.tanh(z)
         h = num.tanh(_conv3x3_same(h, self.w2))
         h = num.tanh(_conv3x3_same(h, self.w3))
@@ -461,6 +417,10 @@ class CategoryEmbeddings:
         if payload32 is None:
             payload32 = self.matrix.astype("<f4")
         self.payload32 = _freeze(np.asarray(payload32, dtype="<f4"))
+
+    def __array__(self, dtype=None, copy=None):
+        """The frozen matrix, so numpy and every tape primitive take ``self``."""
+        return np.array(self.matrix, dtype=dtype, copy=copy)
 
     @property
     def num_categories(self) -> int:

@@ -43,39 +43,8 @@ class Var:
     def shape(self) -> tuple[int, ...]:
         return self.value.shape
 
-    def item(self) -> float:
-        return float(self.value)
-
     def __repr__(self) -> str:
         return f"Var(shape={self.value.shape})"
-
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
 
 @dataclass
@@ -99,11 +68,6 @@ def value_of(x) -> np.ndarray:
     if type(x) is np.ndarray and x.dtype == np.float64:
         return x
     return np.asarray(x, dtype=np.float64)
-
-
-def detach(x):
-    """Drop ``x`` from the graph, returning its plain value."""
-    return value_of(x)
 
 
 def custom_node(op: str, out: np.ndarray, edges: Sequence[tuple]):
@@ -244,18 +208,20 @@ def _require_matrix(a: np.ndarray, op: str, name: str) -> None:
 
 
 def matmul(a, b):
-    """Matrix product; requires ``a.cols == b.rows``."""
+    """Matrix product over the last two axes; leading (batch) axes
+    broadcast. Requires ``a.cols == b.rows``."""
     av, bv = value_of(a), value_of(b)
-    _require_matrix(av, "matmul", "a")
-    _require_matrix(bv, "matmul", "b")
-    if av.shape[1] != bv.shape[0]:
-        raise DimensionError(
-            f"matmul: inner dimensions differ, {av.shape} x {bv.shape}"
-        )
+    if av.ndim < 2 or bv.ndim < 2:
+        raise DimensionError(f"matmul: operands must be at least 2-D, got {av.shape}, {bv.shape}")
+    if av.shape[-1] != bv.shape[-2]:
+        raise DimensionError(f"matmul: inner dimensions differ, {av.shape} x {bv.shape}")
     return custom_node(
         "matmul",
         av @ bv,
-        ((a, lambda g: g @ bv.T), (b, lambda g: av.T @ g)),
+        (
+            (a, lambda g: _unbroadcast(g @ bv.swapaxes(-1, -2), av.shape)),
+            (b, lambda g: _unbroadcast(av.swapaxes(-1, -2) @ g, bv.shape)),
+        ),
     )
 
 
@@ -366,22 +332,11 @@ def div(a, b):
     )
 
 
-def neg(a):
-    av = value_of(a)
-    return custom_node("neg", -av, ((a, lambda g: -g),))
-
-
 def log(a):
     av = value_of(a)
     with np.errstate(invalid="ignore", divide="ignore"):
         out = np.log(av)
     return custom_node("log", out, ((a, lambda g: g / av),))
-
-
-def exp(a):
-    av = value_of(a)
-    out = np.exp(av)
-    return custom_node("exp", out, ((a, lambda g: g * out),))
 
 
 def tanh(a):
@@ -407,17 +362,6 @@ def total_sum(a):
     av = value_of(a)
     return custom_node(
         "total_sum", np.asarray(av.sum()), ((a, lambda g: np.broadcast_to(g, av.shape).copy()),)
-    )
-
-
-def mean(a):
-    """Mean of all entries, as a scalar."""
-    av = value_of(a)
-    n = av.size
-    return custom_node(
-        "mean",
-        np.asarray(av.mean()),
-        ((a, lambda g: np.broadcast_to(g / n, av.shape).copy()),),
     )
 
 
@@ -455,9 +399,11 @@ def mean_axis(a, axis: int, keepdims: bool = False):
 
 
 def transpose(a):
+    """Swap the last two axes. A view: tape values are never mutated."""
     av = value_of(a)
-    _require_matrix(av, "transpose", "a")
-    return custom_node("transpose", av.T.copy(), ((a, lambda g: g.T.copy()),))
+    if av.ndim < 2:
+        raise DimensionError(f"transpose: input must be at least 2-D, got shape {av.shape}")
+    return custom_node("transpose", av.swapaxes(-1, -2), ((a, lambda g: g.swapaxes(-1, -2)),))
 
 
 def reshape(a, shape):

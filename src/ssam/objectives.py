@@ -15,11 +15,8 @@ the association rows. Gradients flow through V everywhere it appears
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import numerics as num
 from .association import AssociationMap, Prototypes, association_map, estimate_prototypes
-from .encoders import CategoryEmbeddings
 from .errors import ConfigError, DimensionError
 
 
@@ -66,15 +63,14 @@ def loss_ca(protos, t, temperature=None):
     Cosine logits; the optional temperature divides them (default: none,
     logits used as-is)."""
     p = protos.p if isinstance(protos, Prototypes) else protos
-    tm = t.matrix if isinstance(t, CategoryEmbeddings) else t
-    pv, tv = num.value_of(p), num.value_of(tm)
+    pv, tv = num.value_of(p), num.value_of(t)
     if pv.shape[0] < 2:
         raise ConfigError(f"contrastive alignment needs M >= 2, got {pv.shape[0]}")
     if pv.shape[0] != tv.shape[0]:
         raise DimensionError(
             f"{pv.shape[0]} prototypes vs {tv.shape[0]} categories"
         )
-    s = num.cosine_similarity_matrix(p, tm)
+    s = num.cosine_similarity_matrix(p, t)
     if temperature is not None:
         if temperature <= 0:
             raise ConfigError(f"temperature must be positive, got {temperature}")
@@ -113,7 +109,7 @@ def total_objective(
     assoc = association_map(v, t)
     protos = estimate_prototypes(assoc, v)
     v_hat = reconstruct(assoc, protos)
-    target = num.detach(v) if stop_grad_target else v
+    target = num.value_of(v) if stop_grad_target else v
     ent = loss_entropy(assoc)
     pir = loss_pir(v_hat, target)
     ca = loss_ca(protos, t, temperature=temperature)

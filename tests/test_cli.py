@@ -211,6 +211,37 @@ def test_gradcheck_cli_corrupt_negative_control(capsys):
 def test_gradcheck_cli_bad_sizes(capsys):
     assert main(["gradcheck", "--batch", "99"]) == 1
     assert "batch" in capsys.readouterr().err
+    assert main(["gradcheck", "--n", "-4"]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_ablate_bad_thread_env_is_exit_1(tiny_data, monkeypatch, capsys):
+    monkeypatch.setenv("SSAM_THREADS", "abc")
+    assert main(["ablate", "--data", str(tiny_data), "--seeds", "1", "--steps", "1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "SSAM_THREADS" in err
+
+
+@pytest.mark.parametrize(
+    "flag, content",
+    [
+        ("--grid", []),
+        ("--grid", {"alpha": ["x"]}),
+        ("--grid", {"alpha": 0.5}),
+        ("--spec", {"num_classes": "4"}),
+    ],
+    ids=["grid-not-object", "grid-non-numeric", "grid-not-list", "spec-non-numeric"],
+)
+def test_malformed_json_config_is_exit_1(tmp_path, tiny_data, capsys, flag, content):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(content))
+    if flag == "--grid":
+        argv = ["ablate", "--data", str(tiny_data), "--grid", str(cfg)]
+    else:
+        argv = ["gen-data", "--spec", str(cfg), "--out", str(tmp_path / "x.ssamds")]
+    capsys.readouterr()
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("error:")
 
 
 def test_bad_usage_is_exit_1(capsys):

@@ -167,9 +167,9 @@ class TestEncode:
             assert np.allclose(single, batch[2], atol=1e-12)
 
     def test_adapter_shape_mismatch(self):
-        enc = ToyViTEncoder()
-        with pytest.raises(DimensionError):
-            enc.encode(_test_image(), AdapterParams.zeros(4, 16))
+        for enc in (ToyViTEncoder(), ToyConvEncoder()):
+            with pytest.raises(DimensionError):
+                enc.encode(_test_image(), AdapterParams.zeros(4, 16))
 
     def test_bad_image_shape(self):
         enc = ToyConvEncoder()
