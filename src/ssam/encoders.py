@@ -419,8 +419,12 @@ class CategoryEmbeddings:
         self.payload32 = _freeze(np.asarray(payload32, dtype="<f4"))
 
     def __array__(self, dtype=None, copy=None):
-        """The frozen matrix, so numpy and every tape primitive take ``self``."""
-        return np.array(self.matrix, dtype=dtype, copy=copy)
+        """The frozen matrix, so numpy and every tape primitive take ``self``.
+
+        numpy 1.x calls this without ``copy``; numpy 2 passes it.
+        """
+        arr = np.asarray(self.matrix, dtype=dtype)
+        return arr.copy() if copy else arr
 
     @property
     def num_categories(self) -> int:

@@ -337,6 +337,19 @@ class TestCategoryEmbeddings:
         with pytest.raises(ValueError):
             emb.matrix[0, 0] = 2.0
 
+    def test_array_protocol(self):
+        emb = embed_categories(3, 8, seed=1)
+        assert np.shares_memory(np.asarray(emb), emb.matrix)
+        # numpy 1.x calls __array__() or __array__(dtype), never with copy.
+        assert emb.__array__() is emb.matrix
+        f32 = emb.__array__(np.float32)
+        assert f32.dtype == np.float32 and np.allclose(f32, emb.matrix, atol=1e-7)
+        fresh = emb.__array__(copy=True)
+        assert not np.shares_memory(fresh, emb.matrix)
+        fresh[0, 0] = 2.0
+        assert emb.matrix[0, 0] != 2.0
+        np.testing.assert_array_equal(num.value_of(emb), emb.matrix)
+
     def test_golden_matrix(self):
         g = _load_golden("categories_golden.json")
         emb = embed_categories(4, 16, seed=0)
