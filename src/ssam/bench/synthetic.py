@@ -254,6 +254,9 @@ def load_dataset(path) -> Dataset:
         raise FormatError(f"{path}: bad magic at byte 0, got {magic!r}")
     if version != DS_VERSION:
         raise FormatError(f"{path}: unsupported version {version} at byte 8")
+    for name, value, offset in (("channel count", c, 16), ("height", h, 20), ("width", w, 24)):
+        if value == 0:
+            raise FormatError(f"{path}: image {name} 0 at byte {offset}")
     if m < 2:
         raise FormatError(f"{path}: class count {m} < 2 at byte 28")
     img_bytes = 4 * count * c * h * w

@@ -44,10 +44,12 @@ EMB_MAGIC = b"SSAMEMB1"
 def _center_last(x):
     """Subtract the per-token feature mean (layer-norm stand-in)."""
     xv = num.value_of(x)
-    out = xv - xv.mean(axis=-1, keepdims=True)
+    d = xv.shape[-1]
+    # ndarray.mean's own sum-then-divide, without its wrapper
+    out = xv - np.add.reduce(xv, axis=-1, keepdims=True) / d
 
     def vjp(g):
-        return g - g.mean(axis=-1, keepdims=True)
+        return g - np.add.reduce(g, axis=-1, keepdims=True) / d
 
     return num.custom_node("center_last", out, ((x, vjp),))
 
@@ -468,6 +470,12 @@ class CategoryEmbeddings:
             flat = int(np.flatnonzero(~np.isfinite(mat))[0])
             raise FormatError(
                 f"{path}: non-finite value at byte {16 + 4 * flat}"
+            )
+        norms = np.linalg.norm(mat, axis=1)
+        if norms.min() <= num.ZERO_NORM_EPS:
+            row = int(np.argmin(norms))
+            raise FormatError(
+                f"{path}: category row {row} has near-zero norm at byte {16 + 4 * row * d}"
             )
         return cls(mat, source="loaded-from-file", payload32=payload)
 

@@ -8,8 +8,14 @@ with :func:`value_and_gradient`. :func:`finite_difference_gradient` is the
 independent central-difference oracle used to cross-check the analytic
 path; the two never share derivative code.
 
-Operations validate their own output: any non-finite result raises
-:class:`~ssam.errors.NumericError` naming the offending primitive.
+Operations validate their own output: every primitive funnels through
+:func:`custom_node`, which tests every entry of every result it builds,
+on plain arrays as on the tape (``math.isfinite`` for a 0-d result,
+``np.logical_and.reduce(np.isfinite(out), axis=None)`` otherwise). Any
+NaN or infinity raises :class:`~ssam.errors.NumericError` naming the
+offending primitive. Checking only the objective's output would not do:
+``tanh``, ``xlogx``, ``row_softmax``, ``div`` and ``diag_part`` can each
+turn a non-finite operand into a finite result.
 """
 
 from __future__ import annotations
@@ -81,14 +87,14 @@ def custom_node(op: str, out: np.ndarray, edges: Sequence[tuple]):
     """
     if not (type(out) is np.ndarray and out.dtype == np.float64):
         out = np.asarray(out, dtype=np.float64)
-    # min/max both propagate NaN and bracket any infinity; two bare
-    # reductions beat isfinite + all on every node of a hot graph
-    if out.size and not (math.isfinite(float(out.min())) and math.isfinite(float(out.max()))):
+    # the bare ufunc forms: the ndarray.all/min wrappers cost more than the
+    # test itself on the small arrays of a finite-difference forward
+    if not (np.logical_and.reduce(np.isfinite(out), axis=None) if out.ndim else math.isfinite(out)):
         raise NumericError(f"{op} produced a non-finite value")
-    live = tuple((p, vjp) for p, vjp in edges if isinstance(p, Var))
-    if not live:
-        return out
-    return Var(out, live)
+    for p, _ in edges:
+        if isinstance(p, Var):
+            return Var(out, tuple((p, vjp) for p, vjp in edges if isinstance(p, Var)))
+    return out
 
 
 def _toposort(root: Var) -> list[Var]:
@@ -139,21 +145,8 @@ def value_and_gradient(objective: Callable, params) -> GradientResult:
     """
     p = leaf(params)
     out = objective(p)
-    if isinstance(out, Var):
-        if out.value.size != 1:
-            raise DimensionError(
-                f"objective must be scalar, got shape {out.value.shape}"
-            )
-        value = float(out.value)
-        grad = gradient(out, p)
-    else:
-        arr = np.asarray(out, dtype=np.float64)
-        if arr.size != 1:
-            raise DimensionError(f"objective must be scalar, got shape {arr.shape}")
-        value = float(arr)
-        grad = np.zeros_like(p.value)
-    if not np.isfinite(value):
-        raise NumericError("objective produced a non-finite value")
+    value = _objective_value(out)
+    grad = gradient(out, p) if isinstance(out, Var) else np.zeros_like(p.value)
     return GradientResult(value, grad)
 
 
@@ -171,18 +164,22 @@ def finite_difference_gradient(objective: Callable, params, h: float = 1e-5) -> 
     for i in range(flat.size):
         orig = flat[i]
         flat[i] = orig + h
-        fp = _scalar_eval(objective, x)
+        fp = _objective_value(objective(x))
         flat[i] = orig - h
-        fm = _scalar_eval(objective, x)
+        fm = _objective_value(objective(x))
         flat[i] = orig
         gflat[i] = (fp - fm) / (2.0 * h)
     return grad
 
 
-def _scalar_eval(objective: Callable, x: np.ndarray) -> float:
-    out = objective(x)
-    v = float(out.value) if isinstance(out, Var) else float(np.asarray(out))
-    if not np.isfinite(v):
+def _objective_value(out) -> float:
+    """The value of an objective's output as a finite float. Any size-1
+    shape counts as scalar; anything else is a ``DimensionError``."""
+    arr = value_of(out)
+    if arr.size != 1:
+        raise DimensionError(f"objective must be scalar, got shape {arr.shape}")
+    v = arr.item()
+    if not math.isfinite(v):
         raise NumericError("objective produced a non-finite value")
     return v
 
@@ -258,8 +255,9 @@ def cosine_similarity_matrix(u, v):
         raise DimensionError(
             f"cosine_similarity_matrix: feature dims differ, {uv.shape} vs {vv.shape}"
         )
-    un = np.linalg.norm(uv, axis=1)
-    vn = np.linalg.norm(vv, axis=1)
+    # np.linalg.norm's own expression for one axis, without its wrapper
+    un = np.sqrt(np.add.reduce(uv * uv, axis=1))
+    vn = np.sqrt(np.add.reduce(vv * vv, axis=1))
     for name, norms in (("u", un), ("v", vn)):
         if norms.min(initial=np.inf) <= ZERO_NORM_EPS:
             row = int(np.argmin(norms))
@@ -395,7 +393,9 @@ def mean_axis(a, axis: int, keepdims: bool = False):
             g = np.expand_dims(g, axis)
         return np.broadcast_to(g / n, av.shape).copy()
 
-    return custom_node("mean_axis", av.mean(axis=axis, keepdims=keepdims), ((a, vjp),))
+    # ndarray.mean's own sum-then-divide, without its wrapper
+    out = np.add.reduce(av, axis=axis, keepdims=keepdims) / n
+    return custom_node("mean_axis", out, ((a, vjp),))
 
 
 def transpose(a):

@@ -2,9 +2,11 @@ import dataclasses
 import json
 import pathlib
 import struct
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ssam.adaptation import AdaptConfig, evaluate
 from ssam.bench import gradcheck as gc
@@ -264,6 +266,59 @@ def test_load_names_offset_of_bad_label(tmp_path):
     p.write_bytes(bytes(blob))
     with pytest.raises(FormatError, match=f"label 99 >= 2 at byte {label_offset + 12}"):
         syn.load_dataset(p)
+
+
+@pytest.mark.parametrize("offset", [16, 20, 24])
+def test_load_rejects_zero_image_dimension(tmp_path, offset):
+    # count * (C*H*W + 1) still matches the file: only the zero check can catch it
+    p = tmp_path / "zero.ssamds"
+    dims = [3, 4, 4]
+    dims[(offset - 16) // 4] = 0
+    p.write_bytes(
+        struct.pack("<8sIIIIII", syn.DS_MAGIC, syn.DS_VERSION, 2, *dims, 2)
+        + struct.pack("<II", 0, 1)
+    )
+    with pytest.raises(FormatError, match=f" 0 at byte {offset}$"):
+        syn.load_dataset(p)
+
+
+_HEADER_FIELDS = (  # (offset, struct format, values to try)
+    (0, "<8s", st.binary(min_size=8, max_size=8)),
+    *(
+        (off, "<I", st.one_of(st.integers(0, 4), st.integers(0, 2**32 - 1)))
+        for off in range(8, 32, 4)
+    ),
+)
+
+
+def _small_dataset_bytes() -> bytes:
+    # two 1x1x1 zero images: many small header values still fit the file's
+    # length, so the checks past the size test are reached too
+    ds = syn.Dataset(np.zeros((2, 1, 1, 1)), np.array([1, 0]), num_classes=2)
+    with tempfile.TemporaryDirectory() as d:
+        p = pathlib.Path(d) / "small.ssamds"
+        syn.save_dataset(ds, p)
+        return p.read_bytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_load_header_fuzz_fails_only_with_a_byte_offset(data):
+    blob = bytearray(_small_dataset_bytes())
+    for i, (offset, fmt, values) in enumerate(_HEADER_FIELDS):
+        if data.draw(st.booleans(), label=f"change field {i}"):
+            struct.pack_into(fmt, blob, offset, data.draw(values, label=f"field {i}"))
+    _, _, count, c, h, w, m = struct.unpack_from("<8sIIIIII", blob)
+    with tempfile.TemporaryDirectory() as d:
+        p = pathlib.Path(d) / "fuzzed.ssamds"
+        p.write_bytes(bytes(blob))
+        try:
+            ds = syn.load_dataset(p)
+        except FormatError as exc:
+            assert "byte" in str(exc)
+            return
+    assert 0 not in (c, h, w)
+    assert ds.count == count and ds.image_shape == (c, h, w) and ds.num_classes == m
 
 
 def test_dataset_constructor_guards():

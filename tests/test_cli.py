@@ -3,6 +3,7 @@
 import json
 import os
 import pathlib
+import struct
 import subprocess
 import sys
 
@@ -159,6 +160,33 @@ def test_adapt_corrupted_data_is_exit_1(tmp_path, tiny_data, capsys):
     rc = main(_adapt_args(tiny_data))
     assert rc == 1
     assert "byte" in capsys.readouterr().err
+
+
+def test_adapt_zero_norm_category_row_is_exit_1(tmp_path, tiny_data, capsys):
+    emb = tmp_path / "tiny.ssamds.conv.emb"
+    blob = bytearray(emb.read_bytes())
+    (d,) = struct.unpack_from("<I", blob, 12)
+    row = 1
+    blob[16 + 4 * row * d : 16 + 4 * (row + 1) * d] = bytes(4 * d)
+    emb.write_bytes(bytes(blob))
+    rc = main(_adapt_args(tiny_data, encoder="conv"))
+    assert rc == 1
+    assert f"row {row} has near-zero norm at byte {16 + 4 * row * d}" in capsys.readouterr().err
+
+
+def test_adapt_zero_image_dimension_is_exit_1(tmp_path, tiny_data, capsys):
+    # two 0x4x4 images: the file length matches its header
+    zero = tmp_path / "zero.ssamds"
+    header = bytearray(tiny_data.read_bytes()[:32])
+    struct.pack_into("<IIIII", header, 12, 2, 0, 4, 4, 2)
+    zero.write_bytes(bytes(header) + struct.pack("<II", 0, 1))
+    for fam in ("vit", "conv"):
+        (tmp_path / f"zero.ssamds.{fam}.emb").write_bytes(
+            (tmp_path / f"tiny.ssamds.{fam}.emb").read_bytes()
+        )
+    rc = main(_adapt_args(zero, encoder="vit"))
+    assert rc == 1
+    assert "at byte 16" in capsys.readouterr().err
 
 
 @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")

@@ -300,6 +300,19 @@ def test_suffix_of_prefix_is_encode_batch(enc):
     assert np.array_equal(split_res.gradient, whole_res.gradient)
 
 
+@pytest.mark.parametrize("shape", [(7,), (3, 5), (2, 9, 13), (1, 3, 1)], ids=str)
+def test_center_last_is_bit_identical_to_ndarray_mean(shape):
+    rng = np.random.default_rng(sum(shape))
+    x = rng.normal(0.0, 2.0, shape) + 50.0
+    g = rng.normal(0.0, 1.0, shape)
+    node = encoders._center_last(num.leaf(x))
+    want = x - x.mean(axis=-1, keepdims=True)
+    assert node.value.tobytes() == want.tobytes()
+    (_, vjp), = node._edges
+    assert vjp(g).tobytes() == (g - g.mean(axis=-1, keepdims=True)).tobytes()
+    assert encoders._center_last(x).tobytes() == want.tobytes()
+
+
 def test_prefix_rejects_nonfinite_images():
     for enc in _split_cells():
         imgs = _test_image((2,) + enc.image_shape)
@@ -404,6 +417,19 @@ class TestCategoryEmbeddings:
     def test_zero_row_rejected(self):
         with pytest.raises(DegenerateInputError):
             CategoryEmbeddings(np.array([[1.0, 0.0], [0.0, 0.0]]), source="test")
+
+    @pytest.mark.parametrize("row", [0, 2])
+    def test_zero_norm_payload_row_names_offset(self, tmp_path, row):
+        import struct
+
+        m, d = 3, 5
+        f = tmp_path / "zero.emb"
+        payload = np.ones((m, d), dtype="<f4")
+        payload[row] = 0.0
+        f.write_bytes(b"SSAMEMB1" + struct.pack("<II", m, d) + payload.tobytes())
+        offset = 16 + 4 * row * d
+        with pytest.raises(FormatError, match=f"row {row} has near-zero norm at byte {offset}$"):
+            CategoryEmbeddings.load(f)
 
 
 class TestAdapterParams:

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -149,6 +150,21 @@ class TestValueAndGradient:
         with pytest.raises(DimensionError):
             num.value_and_gradient(lambda x: num.mul(x, 2.0), np.ones((2, 2)))
 
+    @pytest.mark.parametrize("shape", [(), (1,), (1, 1)], ids=str)
+    def test_size_one_output_is_scalar(self, shape):
+        res = num.value_and_gradient(_sum_of_squares_shaped(shape), np.array([1.0, 2.0]))
+        assert type(res.value) is float and res.value == 5.0
+        assert np.array_equal(res.gradient, [2.0, 4.0])
+        res = num.value_and_gradient(lambda x: np.full(shape, 3.0), np.array([1.0, 2.0]))
+        assert type(res.value) is float and res.value == 3.0
+        assert np.array_equal(res.gradient, np.zeros(2))
+
+    @pytest.mark.parametrize("shape", [(2,), (1, 2), (0,)], ids=str)
+    def test_non_scalar_output_names_shape(self, shape):
+        for f in (_tiled_sum_shaped(shape), lambda x: np.ones(shape)):
+            with pytest.raises(DimensionError, match=re.escape(f"got shape {shape}")):
+                num.value_and_gradient(f, np.array([1.0, 2.0]))
+
     def test_non_finite_intermediate_names_primitive(self):
         with pytest.raises(NumericError, match="log"):
             num.value_and_gradient(
@@ -175,6 +191,27 @@ class TestFiniteDifference:
             num.finite_difference_gradient(
                 lambda x: float("nan"), np.ones(2), h=1e-5
             )
+
+    @pytest.mark.parametrize("shape", [(), (1,), (1, 1)], ids=str)
+    def test_size_one_output_is_scalar(self, shape):
+        g = num.finite_difference_gradient(_sum_of_squares_shaped(shape), np.array([1.0, 2.0]))
+        assert np.allclose(g, [2.0, 4.0], atol=1e-8)
+
+    @pytest.mark.parametrize("shape", [(2,), (1, 2), (0,)], ids=str)
+    def test_non_scalar_output_names_shape(self, shape):
+        for f in (_tiled_sum_shaped(shape), lambda x: np.ones(shape)):
+            with pytest.raises(DimensionError, match=re.escape(f"got shape {shape}")):
+                num.finite_difference_gradient(f, np.array([1.0, 2.0]))
+
+
+def _sum_of_squares_shaped(shape):
+    """sum(x*x), reshaped to a size-1 ``shape``."""
+    return lambda x: num.reshape(num.total_sum(num.mul(x, x)), shape)
+
+
+def _tiled_sum_shaped(shape):
+    """sum(x) copied into every entry of ``shape``."""
+    return lambda x: num.mul(num.total_sum(x), np.ones(shape))
 
 
 def _rel_err(analytic, numeric):
@@ -232,3 +269,131 @@ def test_gradient_accumulates_over_reused_node():
     res = num.value_and_gradient(f, np.array([[3.0]]))
     assert res.gradient[0, 0] == pytest.approx(6.0)
 
+
+
+# ---------------------------------------------------------------------------
+# the custom_node contract: every node checks every entry of its output
+
+
+NON_FINITE = (math.nan, math.inf, -math.inf)
+# 0-d, one entry, small, and past 64k entries
+CHECKED_SHAPES = ((), (1,), (3, 5), (257, 256))
+
+
+def _identity_vjp(g):
+    return g
+
+
+@pytest.mark.parametrize("operand", ("plain", "var"))
+@pytest.mark.parametrize("shape", CHECKED_SHAPES, ids=str)
+@pytest.mark.parametrize("bad", NON_FINITE, ids=repr)
+def test_custom_node_rejects_any_non_finite_entry(bad, shape, operand):
+    x = np.ones(2) if operand == "plain" else num.leaf(np.ones(2))
+    for where in (0, -1):
+        out = np.zeros(shape)
+        out.flat[where] = bad
+        with pytest.raises(NumericError, match=r"^probe_op produced a non-finite value$"):
+            num.custom_node("probe_op", out, ((x, _identity_vjp),))
+
+
+@pytest.mark.parametrize("shape", CHECKED_SHAPES, ids=str)
+def test_custom_node_accepts_finite_extremes(shape):
+    out = np.full(shape, np.finfo(np.float64).max)
+    out.flat[-1] = -np.finfo(np.float64).max
+    assert num.custom_node("probe_op", out, ((np.ones(2), _identity_vjp),)) is out
+
+
+@pytest.mark.parametrize("shape", ((0,), (3, 0), (0, 0, 2)), ids=str)
+def test_custom_node_empty_output_passes(shape):
+    out = np.zeros(shape)
+    assert num.custom_node("probe_op", out, ()) is out
+    node = num.custom_node("probe_op", out, ((num.leaf(np.ones(2)), _identity_vjp),))
+    assert isinstance(node, num.Var) and node.shape == shape
+
+
+def test_custom_node_plain_operands_return_bare_array():
+    out = np.arange(6.0).reshape(2, 3)
+    res = num.custom_node("probe_op", out, ((np.ones(3), _identity_vjp), (2.0, _identity_vjp)))
+    assert type(res) is np.ndarray and res is out
+    assert type(num.custom_node("probe_op", out, ())) is np.ndarray
+    # a 0-d result stays an array, not a numpy scalar
+    assert type(num.custom_node("probe_op", np.float64(2.5), ())) is np.ndarray
+
+
+def test_custom_node_mixed_operands_keep_only_var_edges():
+    a, c = num.leaf(np.ones(2)), num.leaf(np.zeros(2))
+
+    def va(g):
+        return g
+
+    def vb(g):
+        return 2.0 * g
+
+    def vc(g):
+        return 3.0 * g
+
+    node = num.custom_node("probe_op", np.ones(2), ((a, va), (np.ones(2), vb), (c, vc)))
+    assert isinstance(node, num.Var)
+    assert len(node._edges) == 2
+    assert node._edges[0][0] is a and node._edges[0][1] is va
+    assert node._edges[1][0] is c and node._edges[1][1] is vc
+
+
+@pytest.mark.parametrize("operand", ("plain", "var"))
+@pytest.mark.parametrize(
+    "op, build",
+    [
+        ("log", lambda x: num.log(num.sub(x, 5.0))),
+        ("div", lambda x: num.div(x, num.sub(x, x))),
+        ("matmul", lambda x: num.matmul(num.mul(x, 1e200), num.mul(x, 1e200))),
+        ("squared_norm", lambda x: num.squared_norm(num.mul(x, 1e160))),
+        ("mean_axis", lambda x: num.mean_axis(num.mul(x, 1.5e308), 0)),
+    ],
+    ids=lambda v: v if isinstance(v, str) else "",
+)
+@pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value", "ignore:divide by zero")
+def test_first_non_finite_primitive_is_named(op, build, operand):
+    x = np.ones((2, 2)) if operand == "plain" else num.leaf(np.ones((2, 2)))
+    with pytest.raises(NumericError, match=rf"^{op} produced a non-finite value$"):
+        build(x)
+
+
+# ---------------------------------------------------------------------------
+# the wrapper-free reductions give the bits of the numpy expressions they replace
+
+ODD_SHAPES = ((7,), (3, 5), (1, 9), (3, 5, 7), (2, 1, 3))
+
+
+@pytest.mark.parametrize("shape", ODD_SHAPES, ids=str)
+def test_mean_axis_is_bit_identical_to_ndarray_mean(shape):
+    rng = np.random.default_rng(len(shape) * 100 + sum(shape))
+    x = rng.normal(0.0, 3.0, shape) + 1e3 * rng.standard_normal()
+    for axis in range(-len(shape), len(shape)):
+        for keepdims in (False, True):
+            got = np.asarray(num.mean_axis(x, axis, keepdims=keepdims))
+            want = np.asarray(x.mean(axis=axis, keepdims=keepdims))
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes(), (axis, keepdims)
+
+
+@pytest.mark.parametrize("m, n, d", [(1, 1, 1), (3, 5, 7), (9, 2, 13), (8, 4, 16)])
+def test_cosine_norms_are_bit_identical_to_linalg_norm(m, n, d):
+    rng = np.random.default_rng(m * 1000 + n * 10 + d)
+    u = rng.normal(0.0, 2.0, (m, d))
+    v = rng.normal(0.0, 0.5, (n, d))
+    g = rng.normal(0.0, 1.0, (m, n))
+    # the cosine matrix and both vjps as written with np.linalg.norm
+    un, vn = np.linalg.norm(u, axis=1), np.linalg.norm(v, axis=1)
+    uhat, vhat = u / un[:, None], v / vn[:, None]
+    s = uhat @ vhat.T
+    want_u = (g @ vhat - (g * s).sum(axis=1, keepdims=True) * uhat) / un[:, None]
+    want_v = (g.T @ uhat - (g * s).sum(axis=0)[:, None] * vhat) / vn[:, None]
+    assert num.cosine_similarity_matrix(u, v).tobytes() == s.tobytes()
+    grad_u = num.value_and_gradient(
+        lambda p: num.total_sum(num.mul(num.cosine_similarity_matrix(p, v), g)), u
+    ).gradient
+    grad_v = num.value_and_gradient(
+        lambda p: num.total_sum(num.mul(num.cosine_similarity_matrix(u, p), g)), v
+    ).gradient
+    assert grad_u.tobytes() == want_u.tobytes()
+    assert grad_v.tobytes() == want_v.tobytes()
