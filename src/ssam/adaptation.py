@@ -11,6 +11,7 @@ whole stream, ``episodic`` mode restarts both for every batch.
 from __future__ import annotations
 
 import hashlib
+import math
 import time
 from dataclasses import dataclass, field, replace
 
@@ -39,13 +40,21 @@ class AdaptConfig:
     stop_grad_target: bool = False
 
     def __post_init__(self):
-        if self.alpha < 0 or self.beta < 0:
+        # the chained tests are false for NaN; a NaN or infinite setting
+        # would otherwise fail only as a numeric error mid-adaptation
+        if not (0 <= self.alpha < math.inf and 0 <= self.beta < math.inf):
             raise ConfigError(
-                f"loss weights must be >= 0, got alpha={self.alpha} beta={self.beta}"
+                f"loss weights must be finite and >= 0, got alpha={self.alpha} beta={self.beta}"
             )
         # a zero rate is allowed as a measure-only mode (no-op updates)
-        if self.learning_rate < 0:
-            raise ConfigError(f"learning rate must be >= 0, got {self.learning_rate}")
+        if not 0 <= self.learning_rate < math.inf:
+            raise ConfigError(
+                f"learning rate must be finite and >= 0, got {self.learning_rate}"
+            )
+        if self.temperature is not None and not 0 < self.temperature < math.inf:
+            raise ConfigError(
+                f"temperature must be finite and positive, got {self.temperature}"
+            )
         if self.batch_size < 1:
             raise ConfigError(f"batch size must be >= 1, got {self.batch_size}")
         if self.steps_per_batch < 0:

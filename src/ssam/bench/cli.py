@@ -99,15 +99,6 @@ def _cmd_gen_data(args) -> int:
 
 
 def _cmd_adapt(args) -> int:
-    ds = load_dataset(args.data)
-    emb = load_companion_embeddings(args.data, args.encoder)
-    encoder = default_encoder(args.encoder, ds.image_shape, insertion_layer=args.insertion_layer)
-    if emb.dim != encoder.dim:
-        raise ConfigError(f"embeddings have dim {emb.dim}, encoder produces {encoder.dim}")
-    if emb.num_categories != ds.num_classes:
-        raise ConfigError(
-            f"embeddings have {emb.num_categories} categories, dataset has {ds.num_classes}"
-        )
     cfg = AdaptConfig(
         alpha=args.alpha,
         beta=args.beta,
@@ -117,6 +108,15 @@ def _cmd_adapt(args) -> int:
         mode=args.mode,
         seed=args.seed,
     )
+    ds = load_dataset(args.data)
+    emb = load_companion_embeddings(args.data, args.encoder)
+    encoder = default_encoder(args.encoder, ds.image_shape, insertion_layer=args.insertion_layer)
+    if emb.dim != encoder.dim:
+        raise ConfigError(f"embeddings have dim {emb.dim}, encoder produces {encoder.dim}")
+    if emb.num_categories != ds.num_classes:
+        raise ConfigError(
+            f"embeddings have {emb.num_categories} categories, dataset has {ds.num_classes}"
+        )
     bundle = run_experiment(encoder, ds, emb, cfg)
     s = bundle.summary
     print(f"pre_accuracy={s['pre_accuracy']:.4f}")

@@ -237,8 +237,8 @@ def ablation_cells(base_cfg: AdaptConfig, grid_alpha=None, grid_beta=None) -> li
     gb = DEFAULT_GRID if grid_beta is None else tuple(grid_beta)
     for a in ga:
         for b in gb:
-            if a < 0 or b < 0:
-                raise ConfigError(f"grid weights must be >= 0, got ({a}, {b})")
+            # AdaptConfig's own checks, before any stream starts
+            dataclasses.replace(base_cfg, alpha=float(a), beta=float(b))
             cells.append(("grid", float(a), float(b)))
     return cells
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import struct
 from dataclasses import dataclass
 
@@ -79,10 +80,15 @@ class SyntheticShiftSpec:
             )
         if self.shift_kind == "channel-rotation" and self.image_shape[0] < 2:
             raise ConfigError("channel-rotation needs at least 2 channels")
-        if self.shift_magnitude < 0:
-            raise ConfigError(f"shift magnitude must be >= 0, got {self.shift_magnitude}")
-        if self.sample_noise < 0:
-            raise ConfigError(f"sample noise must be >= 0, got {self.sample_noise}")
+        # JSON specs may hold NaN or Infinity; the chained tests reject both
+        if not 0 <= self.shift_magnitude < math.inf:
+            raise ConfigError(
+                f"shift magnitude must be finite and >= 0, got {self.shift_magnitude}"
+            )
+        if not 0 <= self.sample_noise < math.inf:
+            raise ConfigError(
+                f"sample noise must be finite and >= 0, got {self.sample_noise}"
+            )
 
     @classmethod
     def from_json(cls, path) -> "SyntheticShiftSpec":
@@ -177,6 +183,11 @@ def default_encoder(family: str, image_shape, insertion_layer: int = 0, seed: in
             seed=seed,
         )
     if family == "conv":
+        # the conv adapter always enters after the first conv
+        if insertion_layer != 0:
+            raise ConfigError(
+                f"the conv family has no insertion layer, got {insertion_layer} (use 0)"
+            )
         return ToyConvEncoder(image_shape=(c, h, w), dim=16, patch_side=2, seed=seed)
     raise ConfigError(f"encoder family must be one of {FAMILIES}, got {family!r}")
 

@@ -6,7 +6,10 @@ through a frozen linear embedding, and runs a stack of attention blocks;
 the adapter adds one learnable token per patch immediately before a
 configurable block. The conv encoder runs a 3x3 conv stack; each adapter
 token is tiled s x s and added to its spatial patch of the first feature
-map, so an s x s neighbourhood shares one token.
+map, so an s x s neighbourhood shares one token. The conv stack runs
+batch-last: its feature maps are (C, H, W, B), the layout in which each
+im2col tap is a copy of contiguous W*B runs and each conv's GEMM output is
+already the next layer's input.
 
 Weights are drawn from a seeded generator at construction, marked
 read-only, and never change afterwards; adaptation only ever touches the
@@ -55,20 +58,24 @@ def _center_last(x):
 
 
 def _conv3x3(x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """3x3 same-padding conv on plain arrays, (B, C, H, W) x (D, C, 3, 3)
-    -> (B, D, H, W), as one im2col matmul.
+    """3x3 same-padding conv on batch-last plain arrays, (C, H, W, B) x
+    (D, C, 3, 3) -> (D, H, W, B), as one im2col GEMM.
 
-    This path sits inside finite-difference loops, so per-call overhead
-    matters more than memory.
+    The column array keeps the kernel's (c, ky, kx) row order; each of its
+    nine taps is a slice of the padded input whose innermost runs are
+    W*B contiguous floats. This path sits inside finite-difference loops,
+    so per-call overhead matters more than memory.
     """
-    bsz, cin, h, wd = x.shape
+    cin, h, wd, bsz = x.shape
     dout = w.shape[0]
-    pad = np.zeros((bsz, cin, h + 2, wd + 2))
-    pad[:, :, 1:-1, 1:-1] = x
-    win = np.lib.stride_tricks.sliding_window_view(pad, (3, 3), axis=(2, 3))
-    # one (C*9, H*W) column matrix per image, rows in the kernel's order
-    cols = win.transpose(0, 1, 4, 5, 2, 3).reshape(bsz, cin * 9, h * wd)
-    return (w.reshape(dout, cin * 9) @ cols).reshape(bsz, dout, h, wd)
+    pad = np.zeros((cin, h + 2, wd + 2, bsz))
+    pad[:, 1:-1, 1:-1] = x
+    cols = np.empty((cin, 3, 3, h, wd, bsz))
+    for ky in range(3):
+        for kx in range(3):
+            cols[:, ky, kx] = pad[:, ky : ky + h, kx : kx + wd]
+    out = w.reshape(dout, cin * 9) @ cols.reshape(cin * 9, h * wd * bsz)
+    return out.reshape(dout, h, wd, bsz)
 
 
 def _conv3x3_same(x, w: np.ndarray):
@@ -154,10 +161,14 @@ def apply_adapter_vit(patches, adapter):
 
 
 def apply_adapter_conv(featmap, adapter, s: int):
-    """Add each token, tiled s x s, to its spatial patch of the feature map."""
+    """Add each token, tiled s x s, to its spatial patch of the feature map.
+
+    The map is one (D, H, W) map or a batch-last (D, H, W, B) stack; a
+    stack gets the same tile added to every image.
+    """
     tokens = _tokens_of(adapter)
     fv, tv = num.value_of(featmap), num.value_of(tokens)
-    d, h, w = fv.shape[-3:]
+    d, h, w = fv.shape[:3]
     if h % s or w % s:
         raise ConfigError(f"feature map {h}x{w} not divisible by patch side {s}")
     grid = (h // s, w // s)
@@ -165,7 +176,10 @@ def apply_adapter_conv(featmap, adapter, s: int):
         raise DimensionError(
             f"adapter shape {tv.shape} does not match grid {grid} with {d} channels"
         )
-    return num.add(featmap, tile_tokens(tokens, grid, s))
+    tile = tile_tokens(tokens, grid, s)
+    if fv.ndim == 4:
+        tile = num.reshape(tile, (d, h, w, 1))
+    return num.add(featmap, tile)
 
 
 # ---------------------------------------------------------------------------
@@ -374,8 +388,8 @@ class ToyConvEncoder(_FrozenEncoder):
         yield self.w3
 
     def prefix(self, images) -> np.ndarray:
-        """The first conv's (B, D, H, W) map."""
-        return _conv3x3_same(self._check_images(images), self.w1)
+        """The first conv's batch-last (D, H, W, B) map."""
+        return _conv3x3_same(self._check_images(images).transpose(1, 2, 3, 0), self.w1)
 
     def suffix(self, prefix, adapter):
         """Tile the adapter onto the prefix map, run the other two convs
@@ -384,7 +398,7 @@ class ToyConvEncoder(_FrozenEncoder):
         h = num.tanh(z)
         h = num.tanh(_conv3x3_same(h, self.w2))
         h = num.tanh(_conv3x3_same(h, self.w3))
-        return num.mean_axis(num.mean_axis(h, axis=3), axis=2)
+        return num.transpose(num.mean_axis(num.mean_axis(h, axis=2), axis=1))
 
     def encode_batch(self, images, adapter):
         return self.suffix(self.prefix(images), adapter)

@@ -149,3 +149,31 @@ def naive_conv3x3_same_vjp(g, w, x_shape):
                                 if 0 <= yy < h and 0 <= xj < wd:
                                     gx[b][c][yy][xj] += float(w[d][c][i][j]) * gv
     return gx
+
+
+def naive_conv_encoder(imgs, weights, tokens, s):
+    """The conv encoder's features for (B, C, H, W) images, as loops: conv,
+    add token (y // s) * (W // s) + x // s to every pixel of its s x s
+    block, tanh, then conv + tanh twice, then the mean over all pixels."""
+    w1, w2, w3 = weights
+    tokens = np.asarray(tokens)
+    z = naive_conv3x3_same(imgs, w1)
+    bsz, dim, h, wd = z.shape
+    for b in range(bsz):
+        for d in range(dim):
+            for y in range(h):
+                for x in range(wd):
+                    tok = (y // s) * (wd // s) + x // s
+                    z[b][d][y][x] = math.tanh(float(z[b][d][y][x]) + float(tokens[tok][d]))
+    for w in (w2, w3):
+        z = naive_conv3x3_same(z, w)
+        for b in range(bsz):
+            for d in range(dim):
+                for y in range(h):
+                    for x in range(wd):
+                        z[b][d][y][x] = math.tanh(float(z[b][d][y][x]))
+    out = np.zeros((bsz, dim))
+    for b in range(bsz):
+        for d in range(dim):
+            out[b][d] = sum(float(z[b][d][y][x]) for y in range(h) for x in range(wd)) / (h * wd)
+    return out

@@ -88,6 +88,16 @@ class TestAdaptConfig:
             {"steps_per_batch": -1},
             {"mode": "weekly"},
             {"optimizer": "lbfgs"},
+            {"alpha": float("nan")},
+            {"alpha": float("inf")},
+            {"beta": float("nan")},
+            {"beta": float("inf")},
+            {"learning_rate": float("nan")},
+            {"learning_rate": float("inf")},
+            {"temperature": 0.0},
+            {"temperature": -1.0},
+            {"temperature": float("nan")},
+            {"temperature": float("inf")},
         ],
     )
     def test_rejects_bad_values(self, kwargs):

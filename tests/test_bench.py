@@ -46,6 +46,10 @@ def tiny_spec(**over):
         dict(shift_kind="channel-rotation", image_shape=(1, 4, 4)),
         dict(shift_magnitude=-0.1),
         dict(sample_noise=-1.0),
+        dict(shift_magnitude=float("nan")),
+        dict(shift_magnitude=float("inf")),
+        dict(sample_noise=float("nan")),
+        dict(sample_noise=float("inf")),
     ],
 )
 def test_spec_rejects_bad_fields(kw):
@@ -356,6 +360,9 @@ def test_default_encoder_families():
     assert vit.insertion_layer == 2
     conv = syn.default_encoder("conv", (3, 8, 8))
     assert conv.family == "conv"
+    for layer in (7, -3):  # the conv adapter has one fixed entry point
+        with pytest.raises(ConfigError):
+            syn.default_encoder("conv", (3, 8, 8), insertion_layer=layer)
     with pytest.raises(ConfigError):
         syn.default_encoder("mlp", (3, 8, 8))
     with pytest.raises(ConfigError):

@@ -138,6 +138,22 @@ def test_adapt_vit_with_insertion_layer(tmp_path, tiny_data):
     assert main(_adapt_args(tiny_data, encoder="vit", insertion_layer=3)) == 0
 
 
+@pytest.mark.parametrize("layer", [7, -3])
+def test_adapt_conv_with_insertion_layer_is_exit_1(tiny_data, capsys, layer):
+    assert main(_adapt_args(tiny_data, encoder="conv", insertion_layer=layer)) == 1
+    assert "insertion layer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flag, value", [("lr", "nan"), ("lr", "inf"), ("alpha", "nan"), ("beta", "inf")]
+)
+def test_adapt_nonfinite_setting_is_exit_1(tmp_path, tiny_data, capsys, flag, value):
+    report = tmp_path / "report"
+    assert main(_adapt_args(tiny_data, report, **{flag: value})) == 1
+    assert capsys.readouterr().err.startswith("error:")
+    assert not report.exists()
+
+
 def test_adapt_episodic_mode(tiny_data):
     assert main(_adapt_args(tiny_data, mode="episodic")) == 0
 
@@ -270,6 +286,33 @@ def test_malformed_json_config_is_exit_1(tmp_path, tiny_data, capsys, flag, cont
     capsys.readouterr()
     assert main(argv) == 1
     assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "flag, text",
+    [
+        ("--grid", '{"alpha": [NaN]}'),
+        ("--grid", '{"beta": [0.5, Infinity]}'),
+        ("--spec", '{"shift_magnitude": NaN}'),
+        ("--spec", '{"sample_noise": Infinity}'),
+    ],
+    ids=["grid-nan", "grid-inf", "spec-nan", "spec-inf"],
+)
+def test_nonfinite_json_config_is_exit_1(tmp_path, tiny_data, capsys, flag, text):
+    # Python's json reads NaN and Infinity; they must fail before any work
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    out = tmp_path / "out"
+    out.mkdir()
+    if flag == "--grid":
+        argv = ["ablate", "--data", str(tiny_data), "--grid", str(cfg), "--seeds", "1",
+                "--batch", "8", "--steps", "1", "--report", str(out)]
+    else:
+        argv = ["gen-data", "--spec", str(cfg), "--out", str(out / "x.ssamds")]
+    capsys.readouterr()
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("error:")
+    assert list(out.iterdir()) == []
 
 
 def test_bad_usage_is_exit_1(capsys):

@@ -26,7 +26,12 @@ from ssam.errors import (
     NumericError,
 )
 
-from oracles import naive_conv3x3_same, naive_conv3x3_same_vjp, rel_err
+from oracles import (
+    naive_conv3x3_same,
+    naive_conv3x3_same_vjp,
+    naive_conv_encoder,
+    rel_err,
+)
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 
@@ -124,6 +129,28 @@ class TestAdapterConv:
     def test_indivisible_rejected(self):
         with pytest.raises(ConfigError):
             apply_adapter_conv(np.zeros((1, 5, 4)), AdapterParams.zeros(4, 1), s=2)
+
+    def test_batch_last_stack_gets_the_same_tile_per_image(self):
+        rng = np.random.default_rng(2)
+        f = rng.normal(size=(3, 4, 6, 5))  # (D, H, W, B)
+        tokens = rng.normal(size=(6, 3))
+        out = num.value_of(apply_adapter_conv(f, AdapterParams(tokens), s=2))
+        assert out.shape == f.shape
+        for b in range(f.shape[3]):
+            assert np.array_equal(out[..., b], apply_adapter_conv(f[..., b], tokens, s=2))
+        # the tokens' gradient sums the per-image gradients
+        g = rng.normal(size=f.shape)
+        stacked = num.value_and_gradient(
+            lambda t: num.total_sum(num.mul(apply_adapter_conv(f, t, 2), g)), tokens
+        ).gradient
+        per_image = sum(
+            num.value_and_gradient(
+                lambda t, b=b: num.total_sum(num.mul(apply_adapter_conv(f[..., b], t, 2), g[..., b])),
+                tokens,
+            ).gradient
+            for b in range(f.shape[3])
+        )
+        assert rel_err(stacked, per_image) <= 1e-12
 
     def test_tiling_partitions_the_map(self):
         # give every token a distinct constant value; each spatial position
@@ -253,20 +280,38 @@ def test_encode_gradient_matches_finite_differences(family, insertion):
 @pytest.mark.parametrize("shape,dout", [((1, 3, 5, 4), 6), ((2, 4, 4, 6), 2)])
 def test_conv3x3_same_matches_naive_loops(shape, dout):
     # cin != dout and H != W, so a swapped channel axis or a transposed
-    # spatial grid cannot pass; B = 1 catches a batch axis folded wrongly
+    # spatial grid cannot pass; B = 1 catches a batch axis folded wrongly.
+    # The helper runs batch-last, (C, H, W, B); the oracle takes (B, C, H, W).
     rng = np.random.default_rng(17)
     x = rng.normal(size=shape)
     w = rng.normal(size=(dout, shape[1], 3, 3))
-    out = encoders._conv3x3_same(num.leaf(x), w)
-    assert rel_err(num.value_of(out), naive_conv3x3_same(x, w)) <= 1e-12
-    g = rng.normal(size=out.shape)
+    x_bl = x.transpose(1, 2, 3, 0)
+    out = encoders._conv3x3_same(num.leaf(x_bl), w)
+    y_bl = num.value_of(out)
+    assert y_bl.shape == (dout, shape[2], shape[3], shape[0])
+    assert rel_err(y_bl.transpose(3, 0, 1, 2), naive_conv3x3_same(x, w)) <= 1e-12
+    g = rng.normal(size=(shape[0], dout, shape[2], shape[3]))
+    g_bl = g.transpose(1, 2, 3, 0)
     ((_, vjp),) = out._edges
-    gx = vjp(g)
-    assert gx.shape == x.shape
-    assert rel_err(gx, naive_conv3x3_same_vjp(g, w, x.shape)) <= 1e-12
+    gx = vjp(g_bl)
+    assert gx.shape == x_bl.shape
+    assert rel_err(gx.transpose(3, 0, 1, 2), naive_conv3x3_same_vjp(g, w, x.shape)) <= 1e-12
     # the backward is the adjoint of the forward: <conv(x), g> == <x, vjp(g)>
-    lhs, rhs = float((num.value_of(out) * g).sum()), float((x * gx).sum())
+    lhs, rhs = float((y_bl * g_bl).sum()), float((x_bl * gx).sum())
     assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), 1.0)
+
+
+def test_conv_encode_batch_matches_naive_loops():
+    # B >= 2 distinct images, C != D and H != W: a batch/channel mix-up or a
+    # transposed grid anywhere in the batch-last stack changes the features
+    enc = ToyConvEncoder(image_shape=(2, 4, 6), dim=5, patch_side=2, seed=8)
+    rng = np.random.default_rng(9)
+    imgs = rng.normal(size=(3,) + enc.image_shape)
+    tokens = rng.normal(0.0, 0.5, enc.adapter_shape)
+    want = naive_conv_encoder(imgs, (enc.w1, enc.w2, enc.w3), tokens, enc.patch_side)
+    got = num.value_of(enc.encode_batch(imgs, tokens))
+    assert got.shape == (3, 5)
+    assert rel_err(got, want) <= 1e-12
 
 
 def _split_cells():
