@@ -174,6 +174,8 @@ def _cmd_gradcheck(args) -> int:
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
+        if (getattr(args, "seed", None) or 0) < 0:  # numpy's generators take seeds >= 0
+            raise ConfigError(f"--seed must be >= 0, got {args.seed}")
         return args.func(args)
     except (ConfigError, FormatError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

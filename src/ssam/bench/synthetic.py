@@ -68,6 +68,8 @@ class SyntheticShiftSpec:
         self.image_shape = tuple(int(x) for x in self.image_shape)
         if self.num_classes < 2:
             raise ConfigError(f"need at least 2 classes, got {self.num_classes}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.images_per_class < 1:
             raise ConfigError(
                 f"need at least 1 image per class, got {self.images_per_class}"
@@ -265,7 +267,8 @@ def load_dataset(path) -> Dataset:
         raise FormatError(f"{path}: bad magic at byte 0, got {magic!r}")
     if version != DS_VERSION:
         raise FormatError(f"{path}: unsupported version {version} at byte 8")
-    for name, value, offset in (("channel count", c, 16), ("height", h, 20), ("width", w, 24)):
+    sizes = (("count", count, 12), ("channel count", c, 16), ("height", h, 20), ("width", w, 24))
+    for name, value, offset in sizes:
         if value == 0:
             raise FormatError(f"{path}: image {name} 0 at byte {offset}")
     if m < 2:

@@ -44,19 +44,6 @@ EMB_MAGIC = b"SSAMEMB1"
 # batched graph ops (images are constants; only adapter tokens carry grad)
 
 
-def _center_last(x):
-    """Subtract the per-token feature mean (layer-norm stand-in)."""
-    xv = num.value_of(x)
-    d = xv.shape[-1]
-    # ndarray.mean's own sum-then-divide, without its wrapper
-    out = xv - np.add.reduce(xv, axis=-1, keepdims=True) / d
-
-    def vjp(g):
-        return g - np.add.reduce(g, axis=-1, keepdims=True) / d
-
-    return num.custom_node("center_last", out, ((x, vjp),))
-
-
 def _conv3x3(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     """3x3 same-padding conv on batch-last plain arrays, (C, H, W, B) x
     (D, C, 3, 3) -> (D, H, W, B), as one im2col GEMM.
@@ -235,12 +222,15 @@ class _FrozenEncoder:
 
 class ToyViTEncoder(_FrozenEncoder):
     """Patch transformer at desk scale: linear patch embedding, then
-    ``num_blocks`` blocks of mean-centered single-head attention and a
+    ``num_blocks`` blocks of mean-centred single-head attention and a
     2-layer tanh MLP, mean-pooled over tokens. No class token; pooling is
     the token mean. The adapter is added to the running token matrix
     immediately before block ``insertion_layer`` (``== num_blocks`` means
     after the last block, before pooling), so the frozen prefix is the
-    patch embedding and the blocks before it."""
+    patch embedding and the blocks before it. Blocks run on weights folded
+    once from the seeded ``blocks``, with ``P = I - 11^T/d`` the centring:
+    ``qk = d^-1/2 P wq wk^T P``, ``vo = P wv wo``, ``w1c = P w1``.
+    ``weights_checksum`` hashes the seeded arrays only."""
 
     family = "vit"
 
@@ -286,7 +276,16 @@ class ToyViTEncoder(_FrozenEncoder):
                 "w2": rng.normal(0.0, (2 * dim) ** -0.5, (2 * dim, dim)),
             }
             self.blocks.append({k: _freeze(v) for k, v in blk.items()})
-        self._attn_scale = dim**-0.5
+        centre = np.eye(dim) - 1.0 / dim
+        self.folded_blocks = [
+            {
+                "qk": _freeze(dim**-0.5 * (centre @ blk["wq"] @ blk["wk"].T @ centre)),
+                "vo": _freeze(centre @ blk["wv"] @ blk["wo"]),
+                "w1c": _freeze(centre @ blk["w1"]),
+                "w2": blk["w2"],
+            }
+            for blk in self.blocks
+        ]
 
     @property
     def adapter_shape(self) -> tuple[int, int]:
@@ -294,9 +293,8 @@ class ToyViTEncoder(_FrozenEncoder):
 
     def _weight_arrays(self):
         yield self.w_embed
-        for blk in self.blocks:
-            for name in ("wq", "wk", "wv", "wo", "w1", "w2"):
-                yield blk[name]
+        for blk in self.blocks:  # wq, wk, wv, wo, w1, w2
+            yield from blk.values()
 
     def extract_patch_blocks(self, img: np.ndarray) -> np.ndarray:
         """Raw flattened patches, (N, C*ph*pw), row-major over the grid."""
@@ -315,21 +313,17 @@ class ToyViTEncoder(_FrozenEncoder):
         x = imgs.reshape(b, c, gr, ph, gc, pw).transpose(0, 2, 4, 1, 3, 5)
         return x.reshape(b, gr * gc, c * ph * pw)
 
-    def _block_forward(self, x, blk):
-        xc = _center_last(x)
-        q = num.matmul(xc, blk["wq"])
-        k = num.matmul(xc, blk["wk"])
-        v = num.matmul(xc, blk["wv"])
-        scores = num.mul(num.matmul(q, num.transpose(k)), self._attn_scale)
-        mixed = num.matmul(num.matmul(num.row_softmax(scores), v), blk["wo"])
-        x = num.add(x, mixed)
-        hidden = num.tanh(num.matmul(_center_last(x), blk["w1"]))
-        return num.add(x, num.matmul(hidden, blk["w2"]))
+    @staticmethod
+    def _block_forward(x, blk):
+        """One block on the folded weights ``blk``: 11 tape nodes."""
+        scores = num.matmul(num.matmul(x, blk["qk"]), num.transpose(x))
+        x = num.add(x, num.matmul(num.row_softmax(scores), num.matmul(x, blk["vo"])))
+        return num.add(x, num.matmul(num.tanh(num.matmul(x, blk["w1c"])), blk["w2"]))
 
     def prefix(self, images) -> np.ndarray:
         """The (B, N, D) tokens that enter block ``insertion_layer``."""
         x = self._blocks_of(self._check_images(images)) @ self.w_embed
-        for blk in self.blocks[: self.insertion_layer]:
+        for blk in self.folded_blocks[: self.insertion_layer]:
             x = self._block_forward(x, blk)
         return x
 
@@ -337,7 +331,7 @@ class ToyViTEncoder(_FrozenEncoder):
         """Add the adapter to the prefix tokens, run the remaining blocks
         and pool to (B, D) features."""
         x = apply_adapter_vit(prefix, adapter)
-        for blk in self.blocks[self.insertion_layer :]:
+        for blk in self.folded_blocks[self.insertion_layer :]:
             x = self._block_forward(x, blk)
         return num.mean_axis(x, axis=1)
 

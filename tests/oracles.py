@@ -177,3 +177,72 @@ def naive_conv_encoder(imgs, weights, tokens, s):
         for d in range(dim):
             out[b][d] = sum(float(z[b][d][y][x]) for y in range(h) for x in range(wd)) / (h * wd)
     return out
+
+
+def _vecmat(x, w):
+    """Row vector x times matrix w."""
+    return [sum(float(x[i]) * float(w[i][j]) for i in range(len(x))) for j in range(len(w[0]))]
+
+
+def _centre(row):
+    mean = sum(row) / len(row)
+    return [v - mean for v in row]
+
+
+def _naive_vit_block(x, blk):
+    """One attention block on token rows x, from the unfolded weights."""
+    n, d = len(x), len(x[0])
+    xc = [_centre(row) for row in x]
+    q = [_vecmat(row, blk["wq"]) for row in xc]
+    k = [_vecmat(row, blk["wk"]) for row in xc]
+    v = [_vecmat(row, blk["wv"]) for row in xc]
+    mixed = []
+    for i in range(n):
+        logits = [sum(q[i][t] * k[j][t] for t in range(d)) / math.sqrt(d) for j in range(n)]
+        exps = [math.exp(s) for s in logits]
+        z = sum(exps)
+        attended = [sum(exps[j] / z * v[j][t] for j in range(n)) for t in range(d)]
+        out = _vecmat(attended, blk["wo"])
+        mixed.append([x[i][t] + out[t] for t in range(d)])
+    result = []
+    for row in mixed:
+        hidden = [math.tanh(u) for u in _vecmat(_centre(row), blk["w1"])]
+        mlp = _vecmat(hidden, blk["w2"])
+        result.append([row[t] + mlp[t] for t in range(d)])
+    return result
+
+
+def naive_vit_encoder(imgs, w_embed, blocks, tokens, grid, insertion_layer):
+    """The attention encoder's features for (B, C, H, W) images, as loops
+    over the seeded weights. Patch i (row-major over the grid), flattened
+    in (c, y, x) order, times the embedding is token i. Token i of the
+    adapter is added to token i before block ``insertion_layer`` (after the
+    last block when it equals the block count). Each block centres every
+    token on its feature mean, forms q, k and v, softmaxes
+    q_i . k_j / sqrt(D) over j, mixes v, applies wo and adds the residual,
+    then runs tanh(centre(x) w1) w2 and adds the residual. The feature is
+    the token mean."""
+    imgs, tokens = np.asarray(imgs), np.asarray(tokens)
+    bsz, c, h, w = imgs.shape
+    gr, gc = grid
+    ph, pw = h // gr, w // gc
+    out = []
+    for b in range(bsz):
+        x = []
+        for pr in range(gr):
+            for pc in range(gc):
+                patch = [
+                    imgs[b][ch][pr * ph + y][pc * pw + xx]
+                    for ch in range(c)
+                    for y in range(ph)
+                    for xx in range(pw)
+                ]
+                x.append(_vecmat(patch, w_embed))
+        for layer in range(len(blocks) + 1):
+            if layer == insertion_layer:
+                x = [[u + float(tokens[i][t]) for t, u in enumerate(row)] for i, row in enumerate(x)]
+            if layer < len(blocks):
+                x = _naive_vit_block(x, blocks[layer])
+        n, d = len(x), len(x[0])
+        out.append([sum(x[i][t] for i in range(n)) / n for t in range(d)])
+    return np.array(out)

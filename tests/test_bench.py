@@ -286,6 +286,14 @@ def test_load_rejects_zero_image_dimension(tmp_path, offset):
         syn.load_dataset(p)
 
 
+def test_load_rejects_zero_image_count(tmp_path):
+    # header and file agree on zero images: an empty stream is still corrupt
+    p = tmp_path / "empty.ssamds"
+    p.write_bytes(struct.pack("<8sIIIIII", syn.DS_MAGIC, syn.DS_VERSION, 0, 3, 4, 4, 2))
+    with pytest.raises(FormatError, match="image count 0 at byte 12$"):
+        syn.load_dataset(p)
+
+
 _HEADER_FIELDS = (  # (offset, struct format, values to try)
     (0, "<8s", st.binary(min_size=8, max_size=8)),
     *(
@@ -321,7 +329,7 @@ def test_load_header_fuzz_fails_only_with_a_byte_offset(data):
         except FormatError as exc:
             assert "byte" in str(exc)
             return
-    assert 0 not in (c, h, w)
+    assert 0 not in (count, c, h, w)
     assert ds.count == count and ds.image_shape == (c, h, w) and ds.num_classes == m
 
 

@@ -70,6 +70,27 @@ def test_gen_data_default_spec(tmp_path, capsys):
     assert "160 images" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("command", ["gen-data", "adapt", "gradcheck"])
+def test_negative_seed_is_exit_1(tmp_path, tiny_data, capsys, command):
+    out = tmp_path / "neg.ssamds"
+    argv = {
+        "gen-data": ["gen-data", "--seed", "-1", "--out", str(out)],
+        "adapt": _adapt_args(tiny_data, seed=-1),
+        "gradcheck": ["gradcheck", "--seed", "-1"],
+    }[command]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "--seed must be >= 0, got -1" in err
+    assert not out.exists()
+
+
+def test_gen_data_rejects_negative_spec_seed(tmp_path, capsys):
+    p = tmp_path / "spec.json"
+    p.write_text(json.dumps(dict(TINY_SPEC, seed=-2)))
+    assert main(["gen-data", "--spec", str(p), "--out", str(tmp_path / "x")]) == 1
+    assert "seed must be >= 0, got -2" in capsys.readouterr().err
+
+
 def test_gen_data_rejects_bad_spec_json(tmp_path):
     p = tmp_path / "spec.json"
     p.write_text("{not json")
@@ -203,6 +224,19 @@ def test_adapt_zero_image_dimension_is_exit_1(tmp_path, tiny_data, capsys):
     rc = main(_adapt_args(zero, encoder="vit"))
     assert rc == 1
     assert "at byte 16" in capsys.readouterr().err
+
+
+def test_adapt_zero_image_count_is_exit_1(tmp_path, tiny_data, capsys):
+    empty = tmp_path / "empty.ssamds"
+    header = bytearray(tiny_data.read_bytes()[:32])
+    struct.pack_into("<I", header, 12, 0)
+    empty.write_bytes(bytes(header))
+    for fam in ("vit", "conv"):
+        (tmp_path / f"empty.ssamds.{fam}.emb").write_bytes(
+            (tmp_path / f"tiny.ssamds.{fam}.emb").read_bytes()
+        )
+    assert main(_adapt_args(empty)) == 1
+    assert "image count 0 at byte 12" in capsys.readouterr().err
 
 
 @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")

@@ -2,12 +2,15 @@
 
 import json
 import pathlib
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import ssam.numerics as num
 from ssam import encoders
+from ssam.bench import gradcheck as gc
 from ssam.encoders import (
     AdapterParams,
     CategoryEmbeddings,
@@ -30,6 +33,7 @@ from oracles import (
     naive_conv3x3_same,
     naive_conv3x3_same_vjp,
     naive_conv_encoder,
+    naive_vit_encoder,
     rel_err,
 )
 
@@ -345,17 +349,81 @@ def test_suffix_of_prefix_is_encode_batch(enc):
     assert np.array_equal(split_res.gradient, whole_res.gradient)
 
 
-@pytest.mark.parametrize("shape", [(7,), (3, 5), (2, 9, 13), (1, 3, 1)], ids=str)
-def test_center_last_is_bit_identical_to_ndarray_mean(shape):
-    rng = np.random.default_rng(sum(shape))
-    x = rng.normal(0.0, 2.0, shape) + 50.0
-    g = rng.normal(0.0, 1.0, shape)
-    node = encoders._center_last(num.leaf(x))
-    want = x - x.mean(axis=-1, keepdims=True)
-    assert node.value.tobytes() == want.tobytes()
-    (_, vjp), = node._edges
-    assert vjp(g).tobytes() == (g - g.mean(axis=-1, keepdims=True)).tobytes()
-    assert encoders._center_last(x).tobytes() == want.tobytes()
+def _oracle_vit(insertion):
+    # H != W, a non-square grid and patch length (8) != D (6), so a
+    # transposed grid or a mixed-up axis anywhere changes the features
+    return ToyViTEncoder(
+        image_shape=(2, 4, 6), patch_grid=(2, 3), dim=6,
+        num_blocks=3, insertion_layer=insertion, seed=8,
+    )
+
+
+def _unfolded_features(enc, imgs, tokens):
+    return naive_vit_encoder(
+        imgs, enc.w_embed, enc.blocks, tokens, enc.patch_grid, enc.insertion_layer
+    )
+
+
+@pytest.mark.parametrize("insertion", range(4))
+def test_vit_encode_batch_matches_unfolded_oracle(insertion):
+    # the package runs each block through folded weights; the oracle runs
+    # the seeded ones with explicit centring, q/k/v, scale and wo
+    enc = _oracle_vit(insertion)
+    rng = np.random.default_rng(13)
+    imgs = rng.normal(size=(3,) + enc.image_shape)
+    tokens = rng.normal(0.0, 0.5, enc.adapter_shape)
+    got = num.value_of(enc.encode_batch(imgs, tokens))
+    assert got.shape == (3, enc.dim)
+    assert rel_err(got, _unfolded_features(enc, imgs, tokens)) <= 1e-12
+
+
+@pytest.mark.parametrize("insertion", range(4))
+def test_folded_suffix_gradient_matches_unfolded_oracle(insertion):
+    enc = _oracle_vit(insertion)
+    rng = np.random.default_rng(14)
+    imgs = rng.normal(size=(2,) + enc.image_shape)
+    weights = rng.normal(size=(2, enc.dim))
+    tokens0 = rng.normal(0.0, 0.3, enc.adapter_shape)
+    prefix = enc.prefix(imgs)
+
+    def folded(tok):
+        return num.total_sum(num.mul(enc.suffix(prefix, tok), weights))
+
+    def unfolded(tok):
+        return float((_unfolded_features(enc, imgs, tok) * weights).sum())
+
+    analytic = num.value_and_gradient(folded, tokens0).gradient
+    fd = num.finite_difference_gradient(unfolded, tokens0)
+    assert rel_err(analytic, fd) <= gc.TOLERANCE
+    assert np.abs(analytic).max() > 1e-6  # not vacuous
+
+
+def test_folded_weights_are_read_only():
+    enc = ToyViTEncoder()
+    assert len(enc.folded_blocks) == enc.num_blocks
+    for blk in enc.folded_blocks:
+        for arr in blk.values():
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0, 0] = 1.0
+
+
+def test_vit_checksum_hashes_only_the_seeded_weights():
+    # the digest the seeded weights had before the folded copies existed
+    assert ToyViTEncoder(seed=0).weights_checksum() == (
+        "a0ab6c252c865d43de0b1af320c0c601435f9e256adcbc08ee807d8f2c6283fa"
+    )
+
+
+@pytest.mark.parametrize("insertion", range(4))
+def test_vit_suffix_has_eleven_tape_nodes_per_block(insertion):
+    enc = _make_encoder("vit", insertion)
+    rng = np.random.default_rng(6)
+    prefix = enc.prefix(rng.normal(size=(2,) + enc.image_shape))
+    tokens = rng.normal(0.0, 0.2, enc.adapter_shape)
+    nodes = num._toposort(enc.suffix(prefix, num.leaf(tokens)))
+    # the token leaf, the adapter add and the mean pool, then 11 per block
+    assert len(nodes) == 3 + 11 * (enc.num_blocks - insertion)
 
 
 def test_prefix_rejects_nonfinite_images():
@@ -475,6 +543,53 @@ class TestCategoryEmbeddings:
         offset = 16 + 4 * row * d
         with pytest.raises(FormatError, match=f"row {row} has near-zero norm at byte {offset}$"):
             CategoryEmbeddings.load(f)
+
+
+def _small_emb_bytes() -> bytes:
+    with tempfile.TemporaryDirectory() as d:
+        p = pathlib.Path(d) / "small.emb"
+        embed_categories(2, 3, seed=1).save(p)
+        return p.read_bytes()
+
+
+def _load_emb_bytes(blob):
+    """Load ``blob`` as an .emb file; None when it is rejected, which must
+    be a FormatError naming a byte offset."""
+    with tempfile.TemporaryDirectory() as d:
+        p = pathlib.Path(d) / "fuzzed.emb"
+        p.write_bytes(bytes(blob))
+        try:
+            return CategoryEmbeddings.load(p)
+        except FormatError as exc:
+            assert "byte" in str(exc)
+            return None
+
+
+def test_emb_load_every_truncation_and_bit_flip_fails_with_a_byte_offset():
+    good = _small_emb_bytes()
+    for n in range(len(good)):
+        assert _load_emb_bytes(good[:n]) is None
+    for bit in range(8 * len(good)):
+        blob = bytearray(good)
+        blob[bit // 8] ^= 1 << (bit % 8)
+        emb = _load_emb_bytes(blob)
+        if emb is not None:  # only a flip inside the payload can still load
+            assert bit >= 8 * 16 and emb.matrix.shape == (2, 3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    flips=st.lists(st.integers(0, 8 * 40 - 1), min_size=1, max_size=4),
+    length=st.one_of(st.none(), st.integers(0, 39)),
+)
+def test_emb_load_fuzz_fails_only_with_a_byte_offset(flips, length):
+    blob = bytearray(_small_emb_bytes())  # 16-byte header + 2 x 3 float32
+    for bit in flips:
+        blob[bit // 8] ^= 1 << (bit % 8)
+    emb = _load_emb_bytes(blob if length is None else blob[:length])
+    if emb is not None:
+        assert length is None and emb.matrix.shape == (2, 3)
+        assert np.allclose(np.linalg.norm(emb.matrix, axis=1), 1.0)
 
 
 class TestAdapterParams:
