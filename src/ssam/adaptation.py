@@ -12,8 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -36,8 +35,6 @@ class AdaptConfig:
     mode: str = "continual"
     optimizer: str = "adam"
     seed: int = 0
-    temperature: float | None = None
-    stop_grad_target: bool = False
 
     def __post_init__(self):
         # the chained tests are false for NaN; a NaN or infinite setting
@@ -50,10 +47,6 @@ class AdaptConfig:
         if not 0 <= self.learning_rate < math.inf:
             raise ConfigError(
                 f"learning rate must be finite and >= 0, got {self.learning_rate}"
-            )
-        if self.temperature is not None and not 0 < self.temperature < math.inf:
-            raise ConfigError(
-                f"temperature must be finite and positive, got {self.temperature}"
             )
         if self.batch_size < 1:
             raise ConfigError(f"batch size must be >= 1, got {self.batch_size}")
@@ -78,7 +71,6 @@ class AdaptReport:
     adapter: AdapterParams
     adapter_checksum: str
     num_batches: int
-    batch_seconds: list = field(default_factory=list)
     # (N, D) features of the whole stream under the zero adapter and the
     # final one: the passes behind pre_accuracy and post_accuracy
     features_pre: np.ndarray = None
@@ -102,9 +94,10 @@ class SgdOptimizer:
 class AdamOptimizer:
     """Standard Adam with bias correction."""
 
-    def __init__(self, learning_rate: float, beta1=0.9, beta2=0.999, eps=1e-8):
+    BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
+    def __init__(self, learning_rate: float):
         self.learning_rate = learning_rate
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.t = 0
         self.m = None
         self.v = None
@@ -114,11 +107,11 @@ class AdamOptimizer:
             self.m = np.zeros_like(params)
             self.v = np.zeros_like(params)
         self.t += 1
-        self.m = self.beta1 * self.m + (1.0 - self.beta1) * grad
-        self.v = self.beta2 * self.v + (1.0 - self.beta2) * grad * grad
-        m_hat = self.m / (1.0 - self.beta1**self.t)
-        v_hat = self.v / (1.0 - self.beta2**self.t)
-        return params - self.learning_rate * m_hat / (np.sqrt(v_hat) + self.eps)
+        self.m = self.BETA1 * self.m + (1.0 - self.BETA1) * grad
+        self.v = self.BETA2 * self.v + (1.0 - self.BETA2) * grad * grad
+        m_hat = self.m / (1.0 - self.BETA1**self.t)
+        v_hat = self.v / (1.0 - self.BETA2**self.t)
+        return params - self.learning_rate * m_hat / (np.sqrt(v_hat) + self.EPS)
 
     def snapshot(self):
         return (
@@ -140,16 +133,17 @@ def make_optimizer(cfg: AdaptConfig):
 def classify(v_row, t) -> int:
     """Index of the category with the highest cosine similarity; ties go
     to the lowest index."""
-    return int(_nearest_category(num.value_of(v_row).reshape(1, -1), t)[0])
+    return int(nearest_category(num.value_of(v_row).reshape(1, -1), t)[0])
 
 
 def classify_batch(encoder, images, adapter, t) -> np.ndarray:
     """Per-image labels for a stack of images (vectorized inference; no
     cross-image coupling, each row is classified independently)."""
-    return _nearest_category(num.value_of(encoder.encode_batch(images, adapter)), t)
+    return nearest_category(num.value_of(encoder.encode_batch(images, adapter)), t)
 
 
-def _nearest_category(feats: np.ndarray, t) -> np.ndarray:
+def nearest_category(feats: np.ndarray, t) -> np.ndarray:
+    """:func:`classify` for each row of already computed features."""
     sims = num.value_of(num.cosine_similarity_matrix(feats, t))
     return sims.argmax(axis=1)
 
@@ -185,14 +179,7 @@ def adapt_batch(encoder, images, adapter, t, cfg: AdaptConfig, optimizer=None):
 
     def objective(tok):
         v = encoder.suffix(prefix, tok)
-        bd = total_objective(
-            v,
-            t,
-            alpha=cfg.alpha,
-            beta=cfg.beta,
-            temperature=cfg.temperature,
-            stop_grad_target=cfg.stop_grad_target,
-        )
+        bd = total_objective(v, t, alpha=cfg.alpha, beta=cfg.beta)
         # history keeps the float curve only; a retained graph node would
         # pin every intermediate array of this forward pass
         history.append(replace(bd, total_node=None))
@@ -232,14 +219,13 @@ def run_stream(encoder, dataset, t, cfg: AdaptConfig) -> AdaptReport:
 
     def full_pass(adapter):
         feats = num.value_of(encoder.encode_batch(images, adapter))
-        return feats, float((_nearest_category(feats, t) == labels).mean())
+        return feats, float((nearest_category(feats, t) == labels).mean())
 
     features_pre, pre_accuracy = full_pass(encoder.new_adapter())
 
     adapter = encoder.new_adapter()
     optimizer = make_optimizer(cfg)
     history: list[LossBreakdown] = []
-    batch_seconds: list[float] = []
     online_hits = 0
     num_batches = 0
     rng = np.random.default_rng(cfg.seed)
@@ -248,12 +234,10 @@ def run_stream(encoder, dataset, t, cfg: AdaptConfig) -> AdaptReport:
         if cfg.mode == "episodic":
             adapter = encoder.new_adapter()
             optimizer = make_optimizer(cfg)
-        t0 = time.perf_counter()
         preds = classify_batch(encoder, images[idx], adapter, t)
         online_hits += int((preds == labels[idx]).sum())
         adapter, bds = adapt_batch(encoder, images[idx], adapter, t, cfg, optimizer)
         history.extend(bds)
-        batch_seconds.append(time.perf_counter() - t0)
 
     features_post, post_accuracy = full_pass(adapter)
     checksum = hashlib.sha256(adapter.tokens.tobytes()).hexdigest()
@@ -265,7 +249,6 @@ def run_stream(encoder, dataset, t, cfg: AdaptConfig) -> AdaptReport:
         adapter=adapter,
         adapter_checksum=checksum,
         num_batches=num_batches,
-        batch_seconds=batch_seconds,
         features_pre=features_pre,
         features_post=features_post,
     )

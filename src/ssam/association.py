@@ -14,7 +14,6 @@ losses differentiate through both the map and the prototypes.
 from dataclasses import dataclass
 
 from . import numerics as num
-from .errors import DimensionError
 
 
 @dataclass
@@ -48,13 +47,8 @@ def estimate_prototypes(assoc: AssociationMap, v) -> Prototypes:
     combination.
     """
     norm = assoc.norm
-    nv, vv = num.value_of(norm), num.value_of(v)
-    if nv.shape[0] != vv.shape[0]:
-        raise DimensionError(
-            f"association rows {nv.shape[0]} != batch rows {vv.shape[0]}"
-        )
     mass = num.sum_axis(norm, axis=0)
     weighted = num.matmul(num.transpose(norm), v)
-    m = nv.shape[1]
+    m = num.value_of(norm).shape[1]
     p = num.div(weighted, num.reshape(mass, (m, 1)))
     return Prototypes(p=p, mass=mass)

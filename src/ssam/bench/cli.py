@@ -98,6 +98,21 @@ def _cmd_gen_data(args) -> int:
     return 0
 
 
+def _load_inputs(data, family: str, insertion_layer: int = 0):
+    """The dataset, its companion embeddings for ``family`` and the
+    family's encoder, once the embeddings are checked against both."""
+    ds = load_dataset(data)
+    emb = load_companion_embeddings(data, family)
+    encoder = default_encoder(family, ds.image_shape, insertion_layer=insertion_layer)
+    if emb.dim != encoder.dim:
+        raise ConfigError(f"embeddings have dim {emb.dim}, encoder produces {encoder.dim}")
+    if emb.num_categories != ds.num_classes:
+        raise ConfigError(
+            f"embeddings have {emb.num_categories} categories, dataset has {ds.num_classes}"
+        )
+    return ds, emb, encoder
+
+
 def _cmd_adapt(args) -> int:
     cfg = AdaptConfig(
         alpha=args.alpha,
@@ -108,15 +123,7 @@ def _cmd_adapt(args) -> int:
         mode=args.mode,
         seed=args.seed,
     )
-    ds = load_dataset(args.data)
-    emb = load_companion_embeddings(args.data, args.encoder)
-    encoder = default_encoder(args.encoder, ds.image_shape, insertion_layer=args.insertion_layer)
-    if emb.dim != encoder.dim:
-        raise ConfigError(f"embeddings have dim {emb.dim}, encoder produces {encoder.dim}")
-    if emb.num_categories != ds.num_classes:
-        raise ConfigError(
-            f"embeddings have {emb.num_categories} categories, dataset has {ds.num_classes}"
-        )
+    ds, emb, encoder = _load_inputs(args.data, args.encoder, args.insertion_layer)
     bundle = run_experiment(encoder, ds, emb, cfg)
     s = bundle.summary
     print(f"pre_accuracy={s['pre_accuracy']:.4f}")
@@ -145,9 +152,7 @@ def _load_grid(path):
 
 
 def _cmd_ablate(args) -> int:
-    ds = load_dataset(args.data)
-    emb = load_companion_embeddings(args.data, args.encoder)
-    encoder = default_encoder(args.encoder, ds.image_shape)
+    ds, emb, encoder = _load_inputs(args.data, args.encoder)
     ga, gb = _load_grid(args.grid)
     base = AdaptConfig(
         learning_rate=args.lr,

@@ -210,15 +210,12 @@ def write_report(bundle: ReportBundle, out_dir, per_image: bool = False) -> list
 # ablation
 
 
-def _thread_count(threads) -> int:
-    if threads is not None:
-        n = int(threads)
-    else:
-        raw = os.environ.get(THREADS_ENV, "0") or "0"
-        try:
-            n = int(raw)
-        except ValueError:
-            raise ConfigError(f"{THREADS_ENV} must be an integer, got {raw!r}") from None
+def _thread_count() -> int:
+    raw = os.environ.get(THREADS_ENV, "0") or "0"
+    try:
+        n = int(raw)
+    except ValueError:
+        raise ConfigError(f"{THREADS_ENV} must be an integer, got {raw!r}") from None
     if n <= 0:
         n = os.cpu_count() or 1
     return n
@@ -251,7 +248,6 @@ def run_ablation(
     grid_alpha=None,
     grid_beta=None,
     seeds: int = 5,
-    threads=None,
 ) -> list:
     """One row per (cell, seed). Every cell runs every seed, so rows with
     equal (alpha, beta, seed) are identical runs regardless of their mask
@@ -280,7 +276,7 @@ def run_ablation(
             "online_accuracy": rep.online_accuracy,
         }
 
-    with ThreadPoolExecutor(max_workers=_thread_count(threads)) as pool:
+    with ThreadPoolExecutor(max_workers=_thread_count()) as pool:
         rows = list(pool.map(run_one, tasks))
     return rows
 

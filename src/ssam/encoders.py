@@ -410,7 +410,7 @@ class CategoryEmbeddings:
     kept verbatim so save(load(f)) reproduces f byte for byte.
     """
 
-    def __init__(self, matrix: np.ndarray, source: str, payload32=None):
+    def __init__(self, matrix: np.ndarray, payload32=None):
         m = np.asarray(matrix, dtype=np.float64)
         if m.ndim != 2:
             raise DimensionError(f"category matrix must be M x D, got {m.shape}")
@@ -423,7 +423,6 @@ class CategoryEmbeddings:
             row = int(np.argmin(norms))
             raise DegenerateInputError(f"category row {row} has near-zero norm")
         self.matrix = _freeze(m / norms[:, None])
-        self.source = source
         if payload32 is None:
             payload32 = self.matrix.astype("<f4")
         self.payload32 = _freeze(np.asarray(payload32, dtype="<f4"))
@@ -485,7 +484,7 @@ class CategoryEmbeddings:
             raise FormatError(
                 f"{path}: category row {row} has near-zero norm at byte {16 + 4 * row * d}"
             )
-        return cls(mat, source="loaded-from-file", payload32=payload)
+        return cls(mat, payload32=payload)
 
 
 def embed_categories(num_categories: int, dim: int, seed: int = 0) -> CategoryEmbeddings:
@@ -513,4 +512,4 @@ def embed_categories(num_categories: int, dim: int, seed: int = 0) -> CategoryEm
     off = np.abs(gram - np.eye(num_categories)).max()
     if off >= 0.5:
         raise ConfigError("category directions insufficiently separated")
-    return CategoryEmbeddings(t, source="seeded-random-orthonormal")
+    return CategoryEmbeddings(t)

@@ -26,9 +26,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateInputError, DimensionError, NumericError
+from .errors import DegenerateInputError, DimensionError, NumericError
 
 ZERO_NORM_EPS = 1e-12
+FD_STEP = 1e-5
 
 
 class Var:
@@ -150,25 +151,24 @@ def value_and_gradient(objective: Callable, params) -> GradientResult:
     return GradientResult(value, grad)
 
 
-def finite_difference_gradient(objective: Callable, params, h: float = 1e-5) -> np.ndarray:
-    """Central-difference gradient estimate, (f(x+he_i) - f(x-he_i)) / 2h.
+def finite_difference_gradient(objective: Callable, params) -> np.ndarray:
+    """Central-difference gradient estimate, (f(x+he_i) - f(x-he_i)) / 2h
+    with h = ``FD_STEP``.
 
     Evaluates ``objective`` on plain arrays only; shares no derivative
     code with the analytic path.
     """
-    if h <= 0:
-        raise ConfigError(f"finite-difference step must be positive, got {h}")
     x = np.array(value_of(params))
     grad = np.zeros_like(x)
     flat, gflat = x.ravel(), grad.ravel()
     for i in range(flat.size):
         orig = flat[i]
-        flat[i] = orig + h
+        flat[i] = orig + FD_STEP
         fp = _objective_value(objective(x))
-        flat[i] = orig - h
+        flat[i] = orig - FD_STEP
         fm = _objective_value(objective(x))
         flat[i] = orig
-        gflat[i] = (fp - fm) / (2.0 * h)
+        gflat[i] = (fp - fm) / (2.0 * FD_STEP)
     return grad
 
 

@@ -8,9 +8,8 @@ L_pir rebuilds each feature from the prototypes through its own
 association row and penalizes the squared error against the original
 feature, L_ca is a symmetric InfoNCE between prototypes and category
 directions over cosine logits, and L_ent is the mean Shannon entropy of
-the association rows. Gradients flow through V everywhere it appears
-(map, prototypes, reconstruction, and the reconstruction target) unless
-``stop_grad_target`` freezes the target copy.
+the association rows. Gradients flow through V everywhere it appears:
+map, prototypes, reconstruction, and the reconstruction target.
 """
 
 from dataclasses import dataclass
@@ -39,12 +38,6 @@ class LossBreakdown:
 
 def reconstruct(assoc: AssociationMap, protos: Prototypes):
     """V_hat_i = sum over categories k of A_norm(i, k) P_k."""
-    nv = num.value_of(assoc.norm)
-    pv = num.value_of(protos.p)
-    if nv.shape[1] != pv.shape[0]:
-        raise DimensionError(
-            f"association has {nv.shape[1]} categories but {pv.shape[0]} prototypes"
-        )
     return num.matmul(assoc.norm, protos.p)
 
 
@@ -57,11 +50,9 @@ def loss_pir(v_hat, v):
     return num.mul(num.squared_norm(num.sub(v_hat, v)), 1.0 / b)
 
 
-def loss_ca(protos, t, temperature=None):
-    """Symmetric InfoNCE aligning prototype i with category direction i.
-
-    Cosine logits; the optional temperature divides them (default: none,
-    logits used as-is)."""
+def loss_ca(protos, t):
+    """Symmetric InfoNCE aligning prototype i with category direction i,
+    over the cosine logits as they are."""
     p = protos.p if isinstance(protos, Prototypes) else protos
     pv, tv = num.value_of(p), num.value_of(t)
     if pv.shape[0] < 2:
@@ -71,10 +62,6 @@ def loss_ca(protos, t, temperature=None):
             f"{pv.shape[0]} prototypes vs {tv.shape[0]} categories"
         )
     s = num.cosine_similarity_matrix(p, t)
-    if temperature is not None:
-        if temperature <= 0:
-            raise ConfigError(f"temperature must be positive, got {temperature}")
-        s = num.mul(s, 1.0 / temperature)
     m = pv.shape[0]
     p2c = num.mul(num.total_sum(num.log(num.diag_part(num.row_softmax(s)))), -1.0 / m)
     c2p = num.mul(
@@ -90,14 +77,7 @@ def loss_entropy(assoc: AssociationMap):
     return num.mul(num.total_sum(num.xlogx(assoc.norm)), -1.0 / b)
 
 
-def total_objective(
-    v,
-    t,
-    alpha: float = 1.0,
-    beta: float = 1.0,
-    temperature=None,
-    stop_grad_target: bool = False,
-) -> LossBreakdown:
+def total_objective(v, t, alpha: float = 1.0, beta: float = 1.0) -> LossBreakdown:
     """Compose map -> prototypes -> reconstruction -> weighted losses.
 
     Zero-weighted terms are left out of the graph entirely, so alpha =
@@ -109,10 +89,9 @@ def total_objective(
     assoc = association_map(v, t)
     protos = estimate_prototypes(assoc, v)
     v_hat = reconstruct(assoc, protos)
-    target = num.value_of(v) if stop_grad_target else v
     ent = loss_entropy(assoc)
-    pir = loss_pir(v_hat, target)
-    ca = loss_ca(protos, t, temperature=temperature)
+    pir = loss_pir(v_hat, v)
+    ca = loss_ca(protos, t)
     total = ent
     if alpha != 0.0:
         total = num.add(total, num.mul(pir, alpha))

@@ -78,13 +78,11 @@ def naive_loss_pir(V_hat, V):
     return total / b
 
 
-def naive_loss_ca(P, T, temperature=None):
+def naive_loss_ca(P, T):
     """Symmetric InfoNCE over cosine logits between prototypes and categories."""
     P, T = np.asarray(P), np.asarray(T)
     m = P.shape[0]
     s = [[_cos(P[i], T[j]) for j in range(m)] for i in range(m)]
-    if temperature is not None:
-        s = [[v / temperature for v in row] for row in s]
     p2c = 0.0
     for i in range(m):
         denom = sum(math.exp(s[i][k]) for k in range(m))

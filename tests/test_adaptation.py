@@ -94,10 +94,10 @@ class TestAdaptConfig:
             {"beta": float("inf")},
             {"learning_rate": float("nan")},
             {"learning_rate": float("inf")},
-            {"temperature": 0.0},
-            {"temperature": -1.0},
-            {"temperature": float("nan")},
-            {"temperature": float("inf")},
+            {"alpha": float("-inf")},
+            {"beta": float("-inf")},
+            {"learning_rate": float("-inf")},
+            {"mode": "Continual"},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -284,7 +284,6 @@ class TestRunStream:
         rep = run_stream(enc, ds, emb, cfg)
         assert rep.num_batches == 3  # 8 + 8 + 4
         assert len(rep.history) == rep.num_batches * cfg.steps_per_batch
-        assert len(rep.batch_seconds) == rep.num_batches
         # curve entries must not pin the step's computation graph
         assert all(b.total_node is None for b in rep.history)
 

@@ -469,12 +469,14 @@ def test_run_ablation_rows_and_identities():
     assert by[("full", 1.0, 1.0, 4)]["pre_accuracy"] == bundle.summary["pre_accuracy"]
 
 
-def test_run_ablation_is_thread_count_invariant():
+def test_run_ablation_is_thread_count_invariant(monkeypatch):
     enc, ds, emb = _tiny_run_inputs()
     base = AdaptConfig(batch_size=4, steps_per_batch=1, learning_rate=1e-3)
-    r1 = reports.run_ablation(enc, ds, emb, base, grid_alpha=[1.0], grid_beta=[1.0], seeds=1, threads=1)
-    r2 = reports.run_ablation(enc, ds, emb, base, grid_alpha=[1.0], grid_beta=[1.0], seeds=1, threads=3)
-    assert r1 == r2
+    rows = []
+    for threads in ("1", "3"):
+        monkeypatch.setenv(reports.THREADS_ENV, threads)
+        rows.append(reports.run_ablation(enc, ds, emb, base, grid_alpha=[1.0], grid_beta=[1.0], seeds=1))
+    assert rows[0] == rows[1]
 
 
 def test_run_ablation_validation():

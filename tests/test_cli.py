@@ -11,6 +11,7 @@ import pytest
 
 import ssam
 from ssam.bench.cli import main
+from ssam.encoders import embed_categories
 
 TINY_SPEC = {
     "num_classes": 2,
@@ -271,6 +272,22 @@ def test_ablate_rejects_unknown_grid_key(tmp_path, tiny_data, capsys):
     rc = main(["ablate", "--data", str(tiny_data), "--grid", str(grid)])
     assert rc == 1
     assert "gamma" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["adapt", "ablate"])
+@pytest.mark.parametrize(
+    "m, d, message",
+    [(3, 16, "embeddings have 3 categories, dataset has 2"), (2, 8, "embeddings have dim 8")],
+    ids=["categories", "dim"],
+)
+def test_mismatched_embeddings_are_exit_1(tmp_path, tiny_data, capsys, command, m, d, message):
+    embed_categories(m, d, seed=1).save(tmp_path / "tiny.ssamds.conv.emb")
+    report = tmp_path / "report"
+    argv = [command, "--data", str(tiny_data), "--encoder", "conv", "--steps", "1",
+            "--report", str(report)]
+    assert main(argv) == 1
+    assert message in capsys.readouterr().err
+    assert not report.exists()
 
 
 def test_gradcheck_cli_pass(capsys):

@@ -486,7 +486,6 @@ class TestCategoryEmbeddings:
         f1 = tmp_path / "a.emb"
         emb.save(f1)
         loaded = CategoryEmbeddings.load(f1)
-        assert loaded.source == "loaded-from-file"
         assert np.allclose(loaded.matrix, emb.matrix, atol=1e-6)
         assert np.allclose(np.linalg.norm(loaded.matrix, axis=1), 1.0, atol=1e-12)
         # a loaded instance saves back byte for byte
@@ -529,7 +528,7 @@ class TestCategoryEmbeddings:
 
     def test_zero_row_rejected(self):
         with pytest.raises(DegenerateInputError):
-            CategoryEmbeddings(np.array([[1.0, 0.0], [0.0, 0.0]]), source="test")
+            CategoryEmbeddings(np.array([[1.0, 0.0], [0.0, 0.0]]))
 
     @pytest.mark.parametrize("row", [0, 2])
     def test_zero_norm_payload_row_names_offset(self, tmp_path, row):

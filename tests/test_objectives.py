@@ -131,17 +131,6 @@ class TestLossCa:
         mine = float(num.value_of(loss_ca(p, t)))
         assert mine == pytest.approx(naive_loss_ca(p, t), abs=1e-12)
 
-    def test_temperature_override(self):
-        rng = np.random.default_rng(6)
-        p, t = rng.normal(size=(3, 4)), rng.normal(size=(3, 4))
-        mine = float(num.value_of(loss_ca(p, t, temperature=0.25)))
-        assert mine == pytest.approx(naive_loss_ca(p, t, temperature=0.25), abs=1e-12)
-        assert mine != pytest.approx(naive_loss_ca(p, t), abs=1e-6)
-
-    def test_bad_temperature(self):
-        with pytest.raises(ConfigError):
-            loss_ca(np.eye(2), np.eye(2), temperature=0.0)
-
     def test_single_category_rejected(self):
         with pytest.raises(ConfigError):
             loss_ca(np.array([[1.0, 0.0]]), np.array([[1.0, 0.0]]))
@@ -286,23 +275,3 @@ def test_loss_gradients_match_finite_differences(family, kind):
     fd = num.finite_difference_gradient(f, tokens0)
     assert rel_err(analytic, fd) <= 1e-4
     assert np.abs(analytic).max() > 1e-9
-
-
-def test_stop_grad_target_changes_gradient_not_value():
-    enc = ToyViTEncoder(image_shape=(3, 4, 4), patch_grid=(2, 2), dim=8, seed=1)
-    rng = np.random.default_rng(19)
-    imgs = rng.normal(size=(3,) + enc.image_shape)
-    t = embed_categories(3, 8, seed=5).matrix
-    tokens0 = rng.normal(0.0, 0.2, enc.adapter_shape)
-
-    def make(flag):
-        def f(tokens):
-            v = enc.encode_batch(imgs, tokens)
-            return total_objective(v, t, stop_grad_target=flag).total_node
-
-        return f
-
-    full = num.value_and_gradient(make(False), tokens0)
-    stopped = num.value_and_gradient(make(True), tokens0)
-    assert full.value == pytest.approx(stopped.value, abs=1e-15)
-    assert not np.allclose(full.gradient, stopped.gradient, atol=1e-10)
