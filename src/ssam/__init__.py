@@ -10,7 +10,6 @@ from . import adaptation, association, bench, encoders, errors, numerics, object
 from .adaptation import AdaptConfig, AdaptReport, adapt_batch, classify, evaluate, run_stream
 from .association import AssociationMap, Prototypes, association_map, estimate_prototypes
 from .encoders import (
-    AdapterParams,
     CategoryEmbeddings,
     ToyConvEncoder,
     ToyViTEncoder,
@@ -32,7 +31,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AdaptConfig",
     "AdaptReport",
-    "AdapterParams",
     "AssociationMap",
     "CategoryEmbeddings",
     "ConfigError",

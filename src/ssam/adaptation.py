@@ -17,7 +17,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import numerics as num
-from .encoders import AdapterParams
 from .errors import ConfigError, NumericError
 from .objectives import LossBreakdown, total_objective
 
@@ -54,6 +53,8 @@ class AdaptConfig:
             raise ConfigError(
                 f"steps per batch must be >= 0, got {self.steps_per_batch}"
             )
+        if self.seed < 0:  # numpy's generators take seeds >= 0
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.optimizer not in OPTIMIZERS:
@@ -68,7 +69,7 @@ class AdaptReport:
     pre_accuracy: float
     post_accuracy: float
     online_accuracy: float
-    adapter: AdapterParams
+    adapter: np.ndarray  # the final (N, D) adapter tokens
     adapter_checksum: str
     num_batches: int
     # (N, D) features of the whole stream under the zero adapter and the
@@ -159,11 +160,11 @@ def evaluate(encoder, images, labels, adapter, t) -> float:
 
 def adapt_batch(encoder, images, adapter, t, cfg: AdaptConfig, optimizer=None):
     """Run cfg.steps_per_batch optimizer steps of the combined objective
-    on one batch. Returns (updated adapter, per-step loss breakdowns).
+    on one batch. Returns (updated adapter tokens, per-step losses).
 
     On any non-finite value the optimizer state is restored and the error
-    re-raised; the returned adapter is never partially updated (the
-    caller's adapter object is untouched either way).
+    re-raised; the returned tokens are never partially updated (the
+    caller's adapter array is untouched either way).
     """
     imgs = np.asarray(images, dtype=np.float64)
     if imgs.shape[0] == 0:
@@ -173,7 +174,6 @@ def adapt_batch(encoder, images, adapter, t, cfg: AdaptConfig, optimizer=None):
 
     # the frozen layers before the adapter see the same images every step
     prefix = encoder.prefix(imgs)
-    tokens = adapter.tokens
     history: list[LossBreakdown] = []
     snap = optimizer.snapshot()
 
@@ -187,14 +187,14 @@ def adapt_batch(encoder, images, adapter, t, cfg: AdaptConfig, optimizer=None):
 
     try:
         for _ in range(cfg.steps_per_batch):
-            res = num.value_and_gradient(objective, tokens)
-            tokens = optimizer.step(tokens, res.gradient)
-            if not np.all(np.isfinite(tokens)):
+            res = num.value_and_gradient(objective, adapter)
+            adapter = optimizer.step(adapter, res.gradient)
+            if not np.all(np.isfinite(adapter)):
                 raise NumericError("optimizer produced non-finite adapter tokens")
     except NumericError:
         optimizer.restore(snap)
         raise
-    return AdapterParams(tokens), history
+    return adapter, history
 
 
 def _batches(n: int, batch_size: int, rng: np.random.Generator):
@@ -240,7 +240,7 @@ def run_stream(encoder, dataset, t, cfg: AdaptConfig) -> AdaptReport:
         history.extend(bds)
 
     features_post, post_accuracy = full_pass(adapter)
-    checksum = hashlib.sha256(adapter.tokens.tobytes()).hexdigest()
+    checksum = hashlib.sha256(adapter.tobytes()).hexdigest()
     return AdaptReport(
         history=history,
         pre_accuracy=pre_accuracy,

@@ -1,8 +1,10 @@
 """Command line entry point.
 
 Exit codes: 0 success, 1 configuration or file-format problem, 2 numeric
-failure during adaptation, 3 gradient verification failure. argparse's
-own complaints are routed through ConfigError so bad flags also exit 1.
+failure during adaptation (a non-finite value, or a degenerate input such
+as a zero feature vector where a direction is needed), 3 gradient
+verification failure. argparse's own complaints are routed through
+ConfigError so bad flags also exit 1.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import json
 import sys
 
 from ..adaptation import AdaptConfig
-from ..errors import ConfigError, FormatError, NumericError
+from ..errors import ConfigError, DegenerateInputError, FormatError, NumericError
 from . import gradcheck as gc
 from .reports import run_ablation, run_experiment, summarize_ablation, write_ablation, write_report
 from .synthetic import (
@@ -185,7 +187,7 @@ def main(argv=None) -> int:
     except (ConfigError, FormatError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except NumericError as exc:
+    except (NumericError, DegenerateInputError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 2
 

@@ -73,7 +73,7 @@ def _component_closure(component, encoder, images, t):
             return loss_entropy(assoc)
         protos = estimate_prototypes(assoc, v)
         if component == "ca":
-            return loss_ca(protos, t)
+            return loss_ca(protos.p, t)
         if component == "pir":
             return loss_pir(reconstruct(assoc, protos), v)
         return total_objective(v, t).total_node

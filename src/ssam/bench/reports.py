@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .. import numerics as num
-from ..adaptation import AdaptConfig, AdaptReport, run_stream
+from ..adaptation import AdaptConfig, run_stream
 from ..association import association_map
 from ..errors import ConfigError
 
@@ -81,7 +81,6 @@ class ReportBundle:
     projection_pre: np.ndarray
     projection_post: np.ndarray
     labels: np.ndarray
-    adapt_report: AdaptReport
     association_pre: np.ndarray = None  # per-image rows behind the heatmaps
     association_post: np.ndarray = None
 
@@ -128,7 +127,6 @@ def run_experiment(encoder, dataset, emb, cfg: AdaptConfig) -> ReportBundle:
         projection_pre=pca_projection(feats_pre),
         projection_post=pca_projection(feats_post),
         labels=labels,
-        adapt_report=report,
         association_pre=num.value_of(association_map(feats_pre, emb).norm),
         association_post=num.value_of(association_map(feats_post, emb).norm),
     )

@@ -1,15 +1,17 @@
 """Frozen toy image encoders, their additive adapters, and category embeddings.
 
-Two miniature encoder families share one adapter interface. The patch
-transformer splits the image into non-overlapping patches, maps each
-through a frozen linear embedding, and runs a stack of attention blocks;
-the adapter adds one learnable token per patch immediately before a
-configurable block. The conv encoder runs a 3x3 conv stack; each adapter
-token is tiled s x s and added to its spatial patch of the first feature
-map, so an s x s neighbourhood shares one token. The conv stack runs
-batch-last: its feature maps are (C, H, W, B), the layout in which each
-im2col tap is a copy of contiguous W*B runs and each conv's GEMM output is
-already the next layer's input.
+Two miniature encoder families share one adapter interface: the adapter
+is a plain (N, D) float64 array, one learnable token per patch, zero
+from ``new_adapter``. The patch transformer splits the image into
+non-overlapping patches, maps each through a frozen linear embedding,
+and runs a stack of attention blocks; the adapter adds its tokens
+immediately before a configurable block. The conv encoder runs a 3x3
+conv stack; each adapter token is tiled s x s and added to its spatial
+patch of the first feature map, so an s x s neighbourhood shares one
+token. The conv stack runs batch-last: its feature maps are
+(C, H, W, B), the layout in which each im2col tap is a copy of
+contiguous W*B runs and each conv's GEMM output is already the next
+layer's input.
 
 Weights are drawn from a seeded generator at construction, marked
 read-only, and never change afterwards; adaptation only ever touches the
@@ -17,14 +19,14 @@ adapter tokens. All forward code routes through the graph primitives in
 :mod:`ssam.numerics`, so the same functions serve both the plain-array
 evaluation path and the reverse-mode gradient path. Each encoder splits
 at the adapter into a frozen ``prefix`` (plain arrays, once per batch)
-and a ``suffix`` on the tape; ``encode_batch`` composes the two.
+and a ``suffix`` on the tape; ``encode_batch`` composes the two. Encoders
+take image batches only, (B, C, H, W).
 """
 
 from __future__ import annotations
 
 import hashlib
 import struct
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -105,40 +107,8 @@ def tile_tokens(tokens, grid: tuple[int, int], s: int):
 # adapters
 
 
-@dataclass
-class AdapterParams:
-    """Learnable adapter tokens, one D-vector per patch."""
-
-    tokens: np.ndarray
-
-    def __post_init__(self):
-        t = np.asarray(self.tokens, dtype=np.float64)
-        if t.ndim != 2:
-            raise DimensionError(f"adapter tokens must be N x D, got shape {t.shape}")
-        if not np.all(np.isfinite(t)):
-            raise NumericError("adapter tokens contain non-finite entries")
-        self.tokens = t
-
-    @classmethod
-    def zeros(cls, num_tokens: int, dim: int) -> "AdapterParams":
-        return cls(np.zeros((num_tokens, dim)))
-
-    @property
-    def num_tokens(self) -> int:
-        return self.tokens.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.tokens.shape[1]
-
-
-def _tokens_of(adapter):
-    return adapter.tokens if isinstance(adapter, AdapterParams) else adapter
-
-
-def apply_adapter_vit(patches, adapter):
+def apply_adapter_vit(patches, tokens):
     """q_i = p_i + a_i on (..., N, D) patch embeddings."""
-    tokens = _tokens_of(adapter)
     pv, tv = num.value_of(patches), num.value_of(tokens)
     if pv.shape[-2:] != tv.shape:
         raise DimensionError(
@@ -147,13 +117,12 @@ def apply_adapter_vit(patches, adapter):
     return num.add(patches, tokens)
 
 
-def apply_adapter_conv(featmap, adapter, s: int):
+def apply_adapter_conv(featmap, tokens, s: int):
     """Add each token, tiled s x s, to its spatial patch of the feature map.
 
     The map is one (D, H, W) map or a batch-last (D, H, W, B) stack; a
     stack gets the same tile added to every image.
     """
-    tokens = _tokens_of(adapter)
     fv, tv = num.value_of(featmap), num.value_of(tokens)
     d, h, w = fv.shape[:3]
     if h % s or w % s:
@@ -192,8 +161,8 @@ class _FrozenEncoder:
     ``_weight_arrays``.
     """
 
-    def new_adapter(self) -> AdapterParams:
-        return AdapterParams.zeros(*self.adapter_shape)
+    def new_adapter(self) -> np.ndarray:
+        return np.zeros(self.adapter_shape)
 
     def weights_checksum(self) -> str:
         digest = hashlib.sha256()
@@ -201,23 +170,15 @@ class _FrozenEncoder:
             digest.update(arr.tobytes())
         return digest.hexdigest()
 
-    def _check_images(self, images, single: bool = False) -> np.ndarray:
+    def _check_images(self, images) -> np.ndarray:
         arr = np.asarray(images, dtype=np.float64)
-        want = self.image_shape if single else (None,) + self.image_shape
-        if single:
-            ok = arr.shape == self.image_shape
-        else:
-            ok = arr.ndim == 4 and arr.shape[1:] == self.image_shape
-        if not ok:
-            raise DimensionError(f"expected images shaped {want}, got {arr.shape}")
+        if not (arr.ndim == 4 and arr.shape[1:] == self.image_shape):
+            raise DimensionError(
+                f"expected images shaped {(None,) + self.image_shape}, got {arr.shape}"
+            )
         if not np.all(np.isfinite(arr)):
             raise NumericError("images contain non-finite values")
         return arr
-
-    def encode(self, img, adapter):
-        arr = self._check_images(img, single=True)
-        out = self.encode_batch(arr[None], adapter)
-        return num.reshape(out, (self.dim,))
 
 
 class ToyViTEncoder(_FrozenEncoder):
@@ -298,8 +259,7 @@ class ToyViTEncoder(_FrozenEncoder):
 
     def extract_patch_blocks(self, img: np.ndarray) -> np.ndarray:
         """Raw flattened patches, (N, C*ph*pw), row-major over the grid."""
-        arr = self._check_images(img, single=True)
-        return self._blocks_of(arr[None])[0]
+        return self._blocks_of(self._check_images(img[None]))[0]
 
     def patchify(self, img: np.ndarray) -> np.ndarray:
         """Patch embeddings p_1..p_N, (N, D): flatten then frozen linear map."""

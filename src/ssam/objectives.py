@@ -24,15 +24,14 @@ class LossBreakdown:
     """Loss components as plain floats plus the differentiable total.
 
     ``total_node`` is the graph node behind ``total``; differentiate that
-    to adapt. The floats satisfy total = l_ent + alpha*l_pir + beta*l_ca.
+    to adapt. With the weights ``total_objective`` was called with, the
+    floats satisfy total = l_ent + alpha*l_pir + beta*l_ca.
     """
 
     l_ent: float
     l_pir: float
     l_ca: float
     total: float
-    alpha: float
-    beta: float
     total_node: object = None
 
 
@@ -50,10 +49,9 @@ def loss_pir(v_hat, v):
     return num.mul(num.squared_norm(num.sub(v_hat, v)), 1.0 / b)
 
 
-def loss_ca(protos, t):
-    """Symmetric InfoNCE aligning prototype i with category direction i,
-    over the cosine logits as they are."""
-    p = protos.p if isinstance(protos, Prototypes) else protos
+def loss_ca(p, t):
+    """Symmetric InfoNCE aligning prototype row i of ``p`` with category
+    direction i, over the cosine logits as they are."""
     pv, tv = num.value_of(p), num.value_of(t)
     if pv.shape[0] < 2:
         raise ConfigError(f"contrastive alignment needs M >= 2, got {pv.shape[0]}")
@@ -91,7 +89,7 @@ def total_objective(v, t, alpha: float = 1.0, beta: float = 1.0) -> LossBreakdow
     v_hat = reconstruct(assoc, protos)
     ent = loss_entropy(assoc)
     pir = loss_pir(v_hat, v)
-    ca = loss_ca(protos, t)
+    ca = loss_ca(protos.p, t)
     total = ent
     if alpha != 0.0:
         total = num.add(total, num.mul(pir, alpha))
@@ -103,7 +101,5 @@ def total_objective(v, t, alpha: float = 1.0, beta: float = 1.0) -> LossBreakdow
         l_pir=as_float(pir),
         l_ca=as_float(ca),
         total=as_float(total),
-        alpha=alpha,
-        beta=beta,
         total_node=total,
     )

@@ -37,8 +37,8 @@ def regen_encoders():
             "image": img.tolist(),
             "adapter_tokens": tokens.tolist(),
             "vit_patch_embeddings": vit.patchify(img).tolist(),
-            "vit_feature": np.asarray(vit.encode(img, tokens)).tolist(),
-            "conv_feature": np.asarray(conv.encode(img, tokens)).tolist(),
+            "vit_feature": vit.encode_batch(img[None], tokens)[0].tolist(),
+            "conv_feature": conv.encode_batch(img[None], tokens)[0].tolist(),
         },
     )
 

@@ -176,7 +176,7 @@ def test_criterion_3_invariant_suite():
     zero_cfg = dataclasses.replace(cfg, steps_per_batch=0)
     rep = run_stream(enc, ds, emb, zero_cfg)
     images = np.asarray(ds.images, dtype=np.float64)
-    checks.append(not np.any(rep.adapter.tokens))
+    checks.append(not np.any(rep.adapter))
     frozen_preds = classify_batch(enc, images, enc.new_adapter(), emb)
     adapted_preds = classify_batch(enc, images, rep.adapter, emb)
     checks.append(bool(np.array_equal(frozen_preds, adapted_preds)))

@@ -249,6 +249,28 @@ def test_adapt_numeric_blowup_is_exit_2(tiny_data, capsys):
     assert "numeric failure" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["adapt", "--encoder", "conv"], ["adapt", "--encoder", "vit"], ["ablate", "--seeds", "1"]],
+    ids=["adapt-conv", "adapt-vit", "ablate"],
+)
+def test_all_zero_image_is_exit_2(tmp_path, tiny_data, capsys, argv):
+    # a valid file whose one image is all zeros: both families map it to a
+    # zero feature row, which has no cosine direction
+    zero = tmp_path / "zero.ssamds"
+    header = bytearray(tiny_data.read_bytes()[:32])
+    struct.pack_into("<I", header, 12, 1)
+    zero.write_bytes(bytes(header) + bytes(4 * 3 * 4 * 4) + struct.pack("<I", 0))
+    for fam in ("vit", "conv"):
+        (tmp_path / f"zero.ssamds.{fam}.emb").write_bytes(
+            (tmp_path / f"tiny.ssamds.{fam}.emb").read_bytes()
+        )
+    assert main(argv + ["--data", str(zero), "--steps", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("numeric failure:") and "near-zero norm" in err
+    assert "Traceback" not in err
+
+
 def test_ablate_writes_csv_and_is_deterministic(tmp_path, tiny_data):
     grid = tmp_path / "grid.json"
     grid.write_text(json.dumps({"alpha": [0.5], "beta": [0.5]}))

@@ -12,7 +12,6 @@ import ssam.numerics as num
 from ssam import encoders
 from ssam.bench import gradcheck as gc
 from ssam.encoders import (
-    AdapterParams,
     CategoryEmbeddings,
     ToyConvEncoder,
     ToyViTEncoder,
@@ -84,12 +83,12 @@ class TestPatchLayout:
 class TestAdapterVit:
     def test_zero_adapter_is_identity(self):
         p = np.random.default_rng(0).normal(size=(4, 3))
-        out = apply_adapter_vit(p, AdapterParams.zeros(4, 3))
+        out = apply_adapter_vit(p, np.zeros((4, 3)))
         assert np.array_equal(out, p)
 
     def test_zero_patches_pass_tokens_through(self):
         a = np.eye(3)
-        out = apply_adapter_vit(np.zeros((3, 3)), AdapterParams(a))
+        out = apply_adapter_vit(np.zeros((3, 3)), a)
         assert np.array_equal(out, a)
 
     def test_elementwise_add(self):
@@ -98,7 +97,7 @@ class TestAdapterVit:
 
     def test_count_mismatch(self):
         with pytest.raises(DimensionError):
-            apply_adapter_vit(np.zeros((4, 3)), AdapterParams.zeros(5, 3))
+            apply_adapter_vit(np.zeros((4, 3)), np.zeros((5, 3)))
 
     def test_injection_is_associative_on_dyadics(self):
         rng = np.random.default_rng(7)
@@ -113,18 +112,18 @@ class TestAdapterVit:
 class TestAdapterConv:
     def test_zero_adapter_is_identity(self):
         f = np.random.default_rng(1).normal(size=(3, 4, 4))
-        out = apply_adapter_conv(f, AdapterParams.zeros(4, 3), s=2)
+        out = apply_adapter_conv(f, np.zeros((4, 3)), s=2)
         assert np.array_equal(out, f)
 
     def test_single_token_fills_everything(self):
         t = np.array([[1.0, 2.0, 3.0]])
-        out = apply_adapter_conv(np.zeros((3, 2, 2)), AdapterParams(t), s=2)
+        out = apply_adapter_conv(np.zeros((3, 2, 2)), t, s=2)
         for c in range(3):
             assert np.all(out[c] == t[0, c])
 
     def test_quadrant_layout(self):
         tokens = np.arange(1.0, 5.0)[:, None]  # 4 tokens, 1 channel
-        out = apply_adapter_conv(np.zeros((1, 4, 4)), AdapterParams(tokens), s=2)
+        out = apply_adapter_conv(np.zeros((1, 4, 4)), tokens, s=2)
         assert np.all(out[0, :2, :2] == 1.0)
         assert np.all(out[0, :2, 2:] == 2.0)
         assert np.all(out[0, 2:, :2] == 3.0)
@@ -132,13 +131,13 @@ class TestAdapterConv:
 
     def test_indivisible_rejected(self):
         with pytest.raises(ConfigError):
-            apply_adapter_conv(np.zeros((1, 5, 4)), AdapterParams.zeros(4, 1), s=2)
+            apply_adapter_conv(np.zeros((1, 5, 4)), np.zeros((4, 1)), s=2)
 
     def test_batch_last_stack_gets_the_same_tile_per_image(self):
         rng = np.random.default_rng(2)
         f = rng.normal(size=(3, 4, 6, 5))  # (D, H, W, B)
         tokens = rng.normal(size=(6, 3))
-        out = num.value_of(apply_adapter_conv(f, AdapterParams(tokens), s=2))
+        out = num.value_of(apply_adapter_conv(f, tokens, s=2))
         assert out.shape == f.shape
         for b in range(f.shape[3]):
             assert np.array_equal(out[..., b], apply_adapter_conv(f[..., b], tokens, s=2))
@@ -179,40 +178,35 @@ class TestEncode:
         enc = ToyViTEncoder()
         img = _test_image()
         a = enc.new_adapter()
-        v1 = enc.encode(img, a)
-        v2 = enc.encode(img, a)
+        v1 = enc.encode_batch(img[None], a)
+        v2 = enc.encode_batch(img[None], a)
         assert np.array_equal(v1, v2)
 
     def test_zero_adapter_insertion_position_irrelevant(self):
         img = _test_image()
-        v_first = ToyViTEncoder(insertion_layer=0).encode(img, AdapterParams.zeros(16, 16))
-        v_last = ToyViTEncoder(insertion_layer=3).encode(img, AdapterParams.zeros(16, 16))
+        v_first = ToyViTEncoder(insertion_layer=0).encode_batch(img[None], np.zeros((16, 16)))
+        v_last = ToyViTEncoder(insertion_layer=3).encode_batch(img[None], np.zeros((16, 16)))
         assert np.array_equal(v_first, v_last)
-
-    def test_single_matches_batch_row(self):
-        for enc in (ToyViTEncoder(), ToyConvEncoder()):
-            imgs = _test_image((5,) + enc.image_shape)
-            tokens = np.random.default_rng(8).normal(0.0, 0.1, enc.adapter_shape)
-            batch = enc.encode_batch(imgs, tokens)
-            single = enc.encode(imgs[2], tokens)
-            assert np.allclose(single, batch[2], atol=1e-12)
 
     def test_adapter_shape_mismatch(self):
         for enc in (ToyViTEncoder(), ToyConvEncoder()):
-            with pytest.raises(DimensionError):
-                enc.encode(_test_image(), AdapterParams.zeros(4, 16))
+            for tokens in (np.zeros((4, 16)), np.zeros(enc.adapter_shape).ravel()):
+                with pytest.raises(DimensionError):
+                    enc.encode_batch(_test_image()[None], tokens)
 
     def test_bad_image_shape(self):
         enc = ToyConvEncoder()
-        with pytest.raises(DimensionError):
-            enc.encode(np.zeros((3, 4, 4)), enc.new_adapter())
+        # a single unbatched image is a shape error too: encoders take batches
+        for imgs in (np.zeros((1, 3, 4, 4)), _test_image()):
+            with pytest.raises(DimensionError):
+                enc.encode_batch(imgs, enc.new_adapter())
 
     def test_nonfinite_image_rejected(self):
         enc = ToyViTEncoder()
         img = _test_image()
         img[0, 0, 0] = np.nan
         with pytest.raises(NumericError):
-            enc.encode(img, enc.new_adapter())
+            enc.encode_batch(img[None], enc.new_adapter())
 
     def test_insertion_layer_out_of_range(self):
         with pytest.raises(ConfigError):
@@ -222,8 +216,8 @@ class TestEncode:
         g = _load_golden("encoders_golden.json")
         img = np.array(g["image"])
         tokens = np.array(g["adapter_tokens"])
-        vit = ToyViTEncoder(seed=0).encode(img, tokens)
-        conv = ToyConvEncoder(seed=0).encode(img, tokens)
+        vit = ToyViTEncoder(seed=0).encode_batch(img[None], tokens)[0]
+        conv = ToyConvEncoder(seed=0).encode_batch(img[None], tokens)[0]
         np.testing.assert_allclose(vit, g["vit_feature"], rtol=0, atol=1e-10)
         np.testing.assert_allclose(conv, g["conv_feature"], rtol=0, atol=1e-10)
 
@@ -591,16 +585,22 @@ def test_emb_load_fuzz_fails_only_with_a_byte_offset(flips, length):
         assert np.allclose(np.linalg.norm(emb.matrix, axis=1), 1.0)
 
 
-class TestAdapterParams:
-    def test_shape_guard(self):
-        with pytest.raises(DimensionError):
-            AdapterParams(np.zeros(4))
+@pytest.mark.parametrize("family", ["vit", "conv"])
+class TestAdapterTokens:
+    ENCODERS = {"vit": ToyViTEncoder, "conv": ToyConvEncoder}
+    # the first tape node the tokens enter: the vit add, the conv tiling
+    ENTRY_OP = {"vit": "add", "conv": "tile_tokens"}
 
-    def test_finiteness_guard(self):
-        with pytest.raises(NumericError):
-            AdapterParams(np.array([[np.inf, 0.0]]))
+    def test_nonfinite_token_rejected(self, family):
+        enc = self.ENCODERS[family]()
+        tokens = enc.new_adapter()
+        tokens[3, 1] = np.inf
+        with pytest.raises(NumericError, match=f"^{self.ENTRY_OP[family]} produced"):
+            enc.encode_batch(_test_image()[None], tokens)
 
-    def test_zeros_constructor(self):
-        a = AdapterParams.zeros(3, 5)
-        assert a.num_tokens == 3 and a.dim == 5
-        assert not a.tokens.any()
+    def test_new_adapter_is_float64_zeros(self, family):
+        enc = self.ENCODERS[family]()
+        a = enc.new_adapter()
+        assert type(a) is np.ndarray and a.dtype == np.float64
+        assert a.shape == enc.adapter_shape
+        assert not a.any()

@@ -251,7 +251,7 @@ def _component_closure(kind, enc, imgs, t):
             return loss_entropy(assoc)
         protos = estimate_prototypes(assoc, v)
         if kind == "ca":
-            return loss_ca(protos, t)
+            return loss_ca(protos.p, t)
         if kind == "pir":
             return loss_pir(reconstruct(assoc, protos), v)
         return total_objective(v, t).total_node

@@ -1,31 +1,59 @@
-"""The adaptation config's fields and the parameters of the main entry
-points, pinned by name: a setting added to any of them has to be added
-here too, so it shows up as a test change."""
+"""The fields of the adaptation config and of the result records, and
+the parameters of the main entry points, pinned by name: a setting or
+field added to any of them has to be added here too, so it shows up as a
+test change."""
 
 import dataclasses
 import inspect
 
 from ssam import numerics as num
-from ssam.adaptation import AdaptConfig
-from ssam.bench.reports import run_ablation
+from ssam.adaptation import AdaptConfig, AdaptReport
+from ssam.bench.reports import ReportBundle, run_ablation
 from ssam.bench.synthetic import default_encoder
-from ssam.objectives import loss_ca, total_objective
+from ssam.objectives import LossBreakdown, loss_ca, total_objective
 
 
 def test_settings_are_pinned():
-    assert [f.name for f in dataclasses.fields(AdaptConfig)] == [
-        "alpha",
-        "beta",
-        "learning_rate",
-        "batch_size",
-        "steps_per_batch",
-        "mode",
-        "optimizer",
-        "seed",
-    ]
+    fields = {
+        AdaptConfig: [
+            "alpha",
+            "beta",
+            "learning_rate",
+            "batch_size",
+            "steps_per_batch",
+            "mode",
+            "optimizer",
+            "seed",
+        ],
+        LossBreakdown: ["l_ent", "l_pir", "l_ca", "total", "total_node"],
+        AdaptReport: [
+            "history",
+            "pre_accuracy",
+            "post_accuracy",
+            "online_accuracy",
+            "adapter",
+            "adapter_checksum",
+            "num_batches",
+            "features_pre",
+            "features_post",
+        ],
+        ReportBundle: [
+            "summary",
+            "loss_curve",
+            "heatmap_pre",
+            "heatmap_post",
+            "projection_pre",
+            "projection_post",
+            "labels",
+            "association_pre",
+            "association_post",
+        ],
+    }
+    for cls, names in fields.items():
+        assert [f.name for f in dataclasses.fields(cls)] == names, cls.__name__
     pinned = {
         total_objective: ["v", "t", "alpha", "beta"],
-        loss_ca: ["protos", "t"],
+        loss_ca: ["p", "t"],
         num.finite_difference_gradient: ["objective", "params"],
         run_ablation: ["encoder", "dataset", "emb", "base_cfg", "grid_alpha", "grid_beta", "seeds"],
         default_encoder: ["family", "image_shape", "insertion_layer"],
