@@ -40,6 +40,8 @@ from .errors import (
 )
 
 EMB_MAGIC = b"SSAMEMB1"
+# float32 rounding of a unit row moves its norm by ~1e-7 * sqrt(D)
+EMB_UNIT_NORM_TOL = 1e-5
 
 
 # ---------------------------------------------------------------------------
@@ -443,6 +445,15 @@ class CategoryEmbeddings:
             row = int(np.argmin(norms))
             raise FormatError(
                 f"{path}: category row {row} has near-zero norm at byte {16 + 4 * row * d}"
+            )
+        # save() writes normalised rows, so a row off unit norm is corruption:
+        # a damaged header whose m x d happens to fit a truncated payload
+        off = np.abs(norms - 1.0)
+        if off.max() > EMB_UNIT_NORM_TOL:
+            row = int(np.argmax(off))
+            raise FormatError(
+                f"{path}: category row {row} has norm {norms[row]:.9g}, not 1, "
+                f"at byte {16 + 4 * row * d}"
             )
         return cls(mat, payload32=payload)
 

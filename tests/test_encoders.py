@@ -190,9 +190,8 @@ class TestEncode:
 
     def test_adapter_shape_mismatch(self):
         for enc in (ToyViTEncoder(), ToyConvEncoder()):
-            for tokens in (np.zeros((4, 16)), np.zeros(enc.adapter_shape).ravel()):
-                with pytest.raises(DimensionError):
-                    enc.encode_batch(_test_image()[None], tokens)
+            with pytest.raises(DimensionError):
+                enc.encode_batch(_test_image()[None], np.zeros((4, 16)))
 
     def test_bad_image_shape(self):
         enc = ToyConvEncoder()
@@ -537,6 +536,17 @@ class TestCategoryEmbeddings:
         with pytest.raises(FormatError, match=f"row {row} has near-zero norm at byte {offset}$"):
             CategoryEmbeddings.load(f)
 
+    def test_header_damage_fitting_a_truncation_rejected(self, tmp_path):
+        # feature dim 3 -> 1 (one bit at byte 12) and the file cut to 2 x 1
+        # floats: the sizes agree, but the rows are no longer unit vectors
+        f = tmp_path / "cut.emb"
+        embed_categories(2, 3, seed=1).save(f)
+        blob = bytearray(f.read_bytes())
+        blob[12] ^= 0b10
+        f.write_bytes(bytes(blob[:24]))
+        with pytest.raises(FormatError, match=r"row \d has norm .*, not 1, at byte"):
+            CategoryEmbeddings.load(f)
+
 
 def _small_emb_bytes() -> bytes:
     with tempfile.TemporaryDirectory() as d:
@@ -583,6 +593,20 @@ def test_emb_load_fuzz_fails_only_with_a_byte_offset(flips, length):
     if emb is not None:
         assert length is None and emb.matrix.shape == (2, 3)
         assert np.allclose(np.linalg.norm(emb.matrix, axis=1), 1.0)
+
+
+class TestAdapterParams:
+    """The adapter parameters are a plain (N, D) token array; a 1-D one
+    holding the right number of values is still a shape error."""
+
+    def test_shape_guard(self):
+        with pytest.raises(DimensionError):
+            apply_adapter_vit(np.zeros((4, 3)), np.zeros(12))
+        with pytest.raises(DimensionError):
+            apply_adapter_conv(np.zeros((3, 4, 4)), np.zeros(12), s=2)
+        for enc in (ToyViTEncoder(), ToyConvEncoder()):
+            with pytest.raises(DimensionError):
+                enc.encode_batch(_test_image()[None], np.zeros(enc.adapter_shape).ravel())
 
 
 @pytest.mark.parametrize("family", ["vit", "conv"])
