@@ -50,9 +50,7 @@ class AdaptConfig:
         if self.batch_size < 1:
             raise ConfigError(f"batch size must be >= 1, got {self.batch_size}")
         if self.steps_per_batch < 0:
-            raise ConfigError(
-                f"steps per batch must be >= 0, got {self.steps_per_batch}"
-            )
+            raise ConfigError(f"steps per batch must be >= 0, got {self.steps_per_batch}")
         if self.seed < 0:  # numpy's generators take seeds >= 0
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.mode not in MODES:

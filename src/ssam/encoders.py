@@ -113,9 +113,7 @@ def apply_adapter_vit(patches, tokens):
     """q_i = p_i + a_i on (..., N, D) patch embeddings."""
     pv, tv = num.value_of(patches), num.value_of(tokens)
     if pv.shape[-2:] != tv.shape:
-        raise DimensionError(
-            f"adapter shape {tv.shape} does not match patches {pv.shape}"
-        )
+        raise DimensionError(f"adapter shape {tv.shape} does not match patches {pv.shape}")
     return num.add(patches, tokens)
 
 
@@ -209,9 +207,7 @@ class ToyViTEncoder(_FrozenEncoder):
         c, h, w = image_shape
         gr, gc = patch_grid
         if h % gr or w % gc:
-            raise ConfigError(
-                f"image {h}x{w} not divisible into a {gr}x{gc} patch grid"
-            )
+            raise ConfigError(f"image {h}x{w} not divisible into a {gr}x{gc} patch grid")
         if not 0 <= insertion_layer <= num_blocks:
             raise ConfigError(
                 f"insertion_layer {insertion_layer} outside [0, {num_blocks}]"
@@ -437,9 +433,7 @@ class CategoryEmbeddings:
         mat = payload.astype(np.float64)
         if not np.all(np.isfinite(mat)):
             flat = int(np.flatnonzero(~np.isfinite(mat))[0])
-            raise FormatError(
-                f"{path}: non-finite value at byte {16 + 4 * flat}"
-            )
+            raise FormatError(f"{path}: non-finite value at byte {16 + 4 * flat}")
         norms = np.linalg.norm(mat, axis=1)
         if norms.min() <= num.ZERO_NORM_EPS:
             row = int(np.argmin(norms))

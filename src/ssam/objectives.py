@@ -56,9 +56,7 @@ def loss_ca(p, t):
     if pv.shape[0] < 2:
         raise ConfigError(f"contrastive alignment needs M >= 2, got {pv.shape[0]}")
     if pv.shape[0] != tv.shape[0]:
-        raise DimensionError(
-            f"{pv.shape[0]} prototypes vs {tv.shape[0]} categories"
-        )
+        raise DimensionError(f"{pv.shape[0]} prototypes vs {tv.shape[0]} categories")
     s = num.cosine_similarity_matrix(p, t)
     m = pv.shape[0]
     p2c = num.mul(num.total_sum(num.log(num.diag_part(num.row_softmax(s)))), -1.0 / m)
