@@ -7,7 +7,7 @@ alignment terms, all differentiated by the built-in reverse-mode tape.
 """
 
 from . import adaptation, association, bench, encoders, errors, numerics, objectives
-from .adaptation import AdaptConfig, AdaptReport, adapt_batch, classify, evaluate, run_stream
+from .adaptation import AdaptConfig, AdaptReport, adapt_batch, evaluate, run_stream
 from .association import AssociationMap, Prototypes, association_map, estimate_prototypes
 from .encoders import (
     CategoryEmbeddings,
@@ -50,7 +50,6 @@ __all__ = [
     "association",
     "association_map",
     "bench",
-    "classify",
     "embed_categories",
     "encoders",
     "errors",

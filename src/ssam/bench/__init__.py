@@ -18,7 +18,6 @@ from .synthetic import (
     GeneratedBenchmark,
     SyntheticShiftSpec,
     default_encoder,
-    default_recipe,
     generate_dataset,
     load_companion_embeddings,
     load_dataset,
@@ -37,7 +36,6 @@ __all__ = [
     "class_average_heatmap",
     "class_dispersion",
     "default_encoder",
-    "default_recipe",
     "generate_dataset",
     "gradcheck_command",
     "load_companion_embeddings",

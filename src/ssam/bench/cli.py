@@ -10,14 +10,17 @@ ConfigError so bad flags also exit 1.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
-from ..adaptation import AdaptConfig
+from ..adaptation import MODES, AdaptConfig
 from ..errors import ConfigError, DegenerateInputError, FormatError, NumericError
 from . import gradcheck as gc
 from .reports import run_ablation, run_experiment, summarize_ablation, write_ablation, write_report
 from .synthetic import (
+    DEFAULT_FAMILY,
+    FAMILIES,
     SyntheticShiftSpec,
     default_encoder,
     generate_dataset,
@@ -34,6 +37,25 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+def _add_run_flags(p: _Parser, report_help: str) -> None:
+    """The flags ``adapt`` and ``ablate`` share. Each recipe flag stores
+    to the AdaptConfig field of its name and defaults to that field's
+    default, so the command line cannot drift from the recipe."""
+    p.add_argument("--data", required=True)
+    p.add_argument("--report", help=report_help)
+    p.add_argument("--encoder", choices=FAMILIES, default=DEFAULT_FAMILY)
+    p.add_argument("--mode", choices=MODES, default=AdaptConfig.mode)
+    p.add_argument("--lr", dest="learning_rate", type=float, default=AdaptConfig.learning_rate)
+    p.add_argument("--batch", dest="batch_size", type=int, default=AdaptConfig.batch_size)
+    p.add_argument("--steps", dest="steps_per_batch", type=int,
+                   default=AdaptConfig.steps_per_batch, help="optimizer steps per batch")
+
+
+def _config(args) -> AdaptConfig:
+    fields = {f.name for f in dataclasses.fields(AdaptConfig)}
+    return AdaptConfig(**{k: v for k, v in vars(args).items() if k in fields})
+
+
 def _build_parser() -> _Parser:
     p = _Parser(prog="ssam", description="soft-association test-time adaptation bench")
     sub = p.add_subparsers(dest="command", required=True, parser_class=_Parser)
@@ -45,17 +67,11 @@ def _build_parser() -> _Parser:
     g.set_defaults(func=_cmd_gen_data)
 
     a = sub.add_parser("adapt", help="adapt on a dataset and report accuracies")
-    a.add_argument("--data", required=True)
-    a.add_argument("--alpha", type=float, default=1.0)
-    a.add_argument("--beta", type=float, default=1.0)
-    a.add_argument("--lr", type=float, default=1e-4)
-    a.add_argument("--batch", type=int, default=64)
-    a.add_argument("--steps", type=int, default=50, help="optimizer steps per batch")
-    a.add_argument("--mode", choices=["continual", "episodic"], default="continual")
-    a.add_argument("--encoder", choices=["vit", "conv"], default="conv")
+    _add_run_flags(a, "directory for CSV outputs")
+    a.add_argument("--alpha", type=float, default=AdaptConfig.alpha)
+    a.add_argument("--beta", type=float, default=AdaptConfig.beta)
     a.add_argument("--insertion-layer", type=int, default=0)
-    a.add_argument("--seed", type=int, default=0)
-    a.add_argument("--report", help="directory for CSV outputs")
+    a.add_argument("--seed", type=int, default=AdaptConfig.seed)
     a.add_argument(
         "--per-image",
         action="store_true",
@@ -64,15 +80,9 @@ def _build_parser() -> _Parser:
     a.set_defaults(func=_cmd_adapt)
 
     b = sub.add_parser("ablate", help="loss-mask rows plus an (alpha, beta) grid")
-    b.add_argument("--data", required=True)
+    _add_run_flags(b, "directory for ablation.csv")
     b.add_argument("--grid", help='JSON file {"alpha": [...], "beta": [...]}')
     b.add_argument("--seeds", type=int, default=3)
-    b.add_argument("--encoder", choices=["vit", "conv"], default="conv")
-    b.add_argument("--batch", type=int, default=64)
-    b.add_argument("--steps", type=int, default=50)
-    b.add_argument("--lr", type=float, default=1e-4)
-    b.add_argument("--mode", choices=["continual", "episodic"], default="continual")
-    b.add_argument("--report", help="directory for ablation.csv")
     b.set_defaults(func=_cmd_ablate)
 
     c = sub.add_parser("gradcheck", help="verify analytic gradients against finite differences")
@@ -116,15 +126,7 @@ def _load_inputs(data, family: str, insertion_layer: int = 0):
 
 
 def _cmd_adapt(args) -> int:
-    cfg = AdaptConfig(
-        alpha=args.alpha,
-        beta=args.beta,
-        learning_rate=args.lr,
-        batch_size=args.batch,
-        steps_per_batch=args.steps,
-        mode=args.mode,
-        seed=args.seed,
-    )
+    cfg = _config(args)
     ds, emb, encoder = _load_inputs(args.data, args.encoder, args.insertion_layer)
     bundle = run_experiment(encoder, ds, emb, cfg)
     s = bundle.summary
@@ -156,13 +158,8 @@ def _load_grid(path):
 def _cmd_ablate(args) -> int:
     ds, emb, encoder = _load_inputs(args.data, args.encoder)
     ga, gb = _load_grid(args.grid)
-    base = AdaptConfig(
-        learning_rate=args.lr,
-        batch_size=args.batch,
-        steps_per_batch=args.steps,
-        mode=args.mode,
-    )
-    rows = run_ablation(encoder, ds, emb, base, grid_alpha=ga, grid_beta=gb, seeds=args.seeds)
+    cfg = _config(args)
+    rows = run_ablation(encoder, ds, emb, cfg, grid_alpha=ga, grid_beta=gb, seeds=args.seeds)
     for mask, mean_post in sorted(summarize_ablation(rows).items()):
         print(f"mean post_accuracy [{mask}]: {mean_post:.4f}")
     if args.report:

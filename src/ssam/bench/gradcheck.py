@@ -87,7 +87,7 @@ def _categories(m: int, d: int, rng) -> np.ndarray:
     # more categories than dimensions: orthonormality is impossible, so
     # fall back to normalized random rows (separation is irrelevant here)
     t = rng.normal(size=(m, d))
-    return t / np.linalg.norm(t, axis=1, keepdims=True)
+    return t / np.linalg.norm(t, axis=1)[:, None]
 
 
 def _encoder_cells(d: int, n: int):
@@ -116,7 +116,7 @@ def _encoder_cells(d: int, n: int):
         (
             "conv",
             None,
-            lambda seed=0: ToyConvEncoder(image_shape=shape, dim=d, patch_side=2, seed=seed),
+            lambda seed=0: ToyConvEncoder(image_shape=shape, dim=d, seed=seed),
         )
     )
     return shape, cells

@@ -27,12 +27,10 @@ THREADS_ENV = "SSAM_THREADS"
 DEFAULT_GRID = (0.1, 0.2, 0.5, 1.0, 2.0)
 
 
-def class_average_heatmap(features: np.ndarray, labels: np.ndarray, emb) -> np.ndarray:
-    """M x M matrix: row i holds the mean association (row-softmax of
-    cosine) of class-i images against each category. A sharp diagonal
-    means features sit near their own category."""
-    assoc = num.value_of(association_map(features, emb).norm)
-    m = emb.num_categories
+def class_average_heatmap(assoc: np.ndarray, labels: np.ndarray, m: int) -> np.ndarray:
+    """M x M matrix: row i holds the mean of the (N, M) association rows
+    (row-softmax of cosine) of the class-i images. A sharp diagonal means
+    features sit near their own category."""
     out = np.zeros((m, m))
     for j in range(m):
         mask = labels == j
@@ -42,13 +40,15 @@ def class_average_heatmap(features: np.ndarray, labels: np.ndarray, emb) -> np.n
 
 
 def pca_projection(features: np.ndarray) -> np.ndarray:
-    """Project to the top-2 principal components. Sign convention: the
+    """Project to the top-2 principal components, as (N, 2); a component
+    the data lacks (N or D below 2) projects to 0. Sign convention: the
     first loading of each component with magnitude above 1e-12 is made
     positive, so the projection is deterministic across BLAS builds."""
     x = np.asarray(features, dtype=np.float64)
-    centered = x - x.mean(axis=0, keepdims=True)
+    centered = x - x.mean(axis=0)
     _, _, vt = np.linalg.svd(centered, full_matrices=False)
-    comps = vt[:2].copy()
+    comps = np.zeros((2, x.shape[1]))
+    comps[: len(vt[:2])] = vt[:2]
     for row in comps:
         nz = np.flatnonzero(np.abs(row) > 1e-12)
         if nz.size and row[nz[0]] < 0:
@@ -90,6 +90,8 @@ def run_experiment(encoder, dataset, emb, cfg: AdaptConfig) -> ReportBundle:
     labels = np.asarray(dataset.labels, dtype=np.int64)
     m = emb.num_categories
     feats_pre, feats_post = report.features_pre, report.features_post
+    assoc_pre = num.value_of(association_map(feats_pre, emb).norm)
+    assoc_post = num.value_of(association_map(feats_post, emb).norm)
 
     summary = {
         "encoder_family": encoder.family,
@@ -122,13 +124,13 @@ def run_experiment(encoder, dataset, emb, cfg: AdaptConfig) -> ReportBundle:
     return ReportBundle(
         summary=summary,
         loss_curve=curve,
-        heatmap_pre=class_average_heatmap(feats_pre, labels, emb),
-        heatmap_post=class_average_heatmap(feats_post, labels, emb),
+        heatmap_pre=class_average_heatmap(assoc_pre, labels, m),
+        heatmap_post=class_average_heatmap(assoc_post, labels, m),
         projection_pre=pca_projection(feats_pre),
         projection_post=pca_projection(feats_post),
         labels=labels,
-        association_pre=num.value_of(association_map(feats_pre, emb).norm),
-        association_post=num.value_of(association_map(feats_post, emb).norm),
+        association_pre=assoc_pre,
+        association_post=assoc_post,
     )
 
 

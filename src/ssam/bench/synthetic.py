@@ -109,11 +109,6 @@ class SyntheticShiftSpec:
                 )
         return cls(**raw)
 
-    def to_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(dataclasses.asdict(self), fh, indent=1)
-            fh.write("\n")
-
 
 @dataclass
 class Dataset:
@@ -124,10 +119,15 @@ class Dataset:
     num_classes: int
 
     def __post_init__(self):
-        self.images = np.ascontiguousarray(self.images, dtype="<f4")
+        with np.errstate(over="ignore"):  # an overflow is reported below
+            self.images = np.ascontiguousarray(self.images, dtype="<f4")
         self.labels = np.ascontiguousarray(self.labels, dtype="<u4")
         if self.images.ndim != 4:
             raise ConfigError(f"images must be (n, C, H, W), got {self.images.shape}")
+        bad = ~np.isfinite(self.images).all(axis=(1, 2, 3))
+        if bad.any():
+            i = int(np.flatnonzero(bad)[0])
+            raise ConfigError(f"image {i} has a pixel that is not finite as float32")
         if self.labels.shape != (self.images.shape[0],):
             raise ConfigError(
                 f"{self.images.shape[0]} images but {self.labels.shape} labels"
@@ -153,22 +153,6 @@ class GeneratedBenchmark:
     probe_accuracy: dict  # family -> unshifted frozen accuracy
 
 
-def default_recipe(seed: int = 0):
-    """The frozen adaptation settings the benchmark is quoted at."""
-    from ..adaptation import AdaptConfig
-
-    return AdaptConfig(
-        alpha=1.0,
-        beta=1.0,
-        learning_rate=1e-4,
-        batch_size=64,
-        steps_per_batch=50,
-        mode="continual",
-        optimizer="adam",
-        seed=seed,
-    )
-
-
 def default_encoder(family: str, image_shape, insertion_layer: int = 0):
     """The fixed per-family encoder every benchmark run uses (seeded
     construction; the adapter is the only thing that ever changes)."""
@@ -190,7 +174,7 @@ def default_encoder(family: str, image_shape, insertion_layer: int = 0):
             raise ConfigError(
                 f"the conv family has no insertion layer, got {insertion_layer} (use 0)"
             )
-        return ToyConvEncoder(image_shape=(c, h, w), dim=16, patch_side=2, seed=0)
+        return ToyConvEncoder(image_shape=(c, h, w), dim=16, seed=0)
     raise ConfigError(f"encoder family must be one of {FAMILIES}, got {family!r}")
 
 
@@ -219,7 +203,8 @@ def generate_dataset(spec: SyntheticShiftSpec) -> GeneratedBenchmark:
     n = m * spec.images_per_class
     labels = np.repeat(np.arange(m, dtype=np.int64), spec.images_per_class)
     clean = templates[labels] + rng.normal(0.0, spec.sample_noise, (n,) + spec.image_shape)
-    shifted = _apply_shift(clean, spec, rng)
+    # the float32 image file must load again, so it is checked before the probe
+    dataset = Dataset(_apply_shift(clean, spec, rng), labels, num_classes=m)
 
     embeddings: dict = {}
     probe: dict = {}
@@ -237,7 +222,6 @@ def generate_dataset(spec: SyntheticShiftSpec) -> GeneratedBenchmark:
         embeddings[family] = emb
         probe[family] = acc
 
-    dataset = Dataset(shifted, labels, num_classes=m)
     return GeneratedBenchmark(dataset=dataset, embeddings=embeddings, probe_accuracy=probe)
 
 

@@ -118,13 +118,10 @@ def apply_adapter_vit(patches, tokens):
 
 
 def apply_adapter_conv(featmap, tokens, s: int):
-    """Add each token, tiled s x s, to its spatial patch of the feature map.
-
-    The map is one (D, H, W) map or a batch-last (D, H, W, B) stack; a
-    stack gets the same tile added to every image.
-    """
+    """Add each token, tiled s x s, to its spatial patch of every image of
+    a batch-last (D, H, W, B) feature map."""
     fv, tv = num.value_of(featmap), num.value_of(tokens)
-    d, h, w = fv.shape[:3]
+    d, h, w, _ = fv.shape
     if h % s or w % s:
         raise ConfigError(f"feature map {h}x{w} not divisible by patch side {s}")
     grid = (h // s, w // s)
@@ -132,10 +129,7 @@ def apply_adapter_conv(featmap, tokens, s: int):
         raise DimensionError(
             f"adapter shape {tv.shape} does not match grid {grid} with {d} channels"
         )
-    tile = tile_tokens(tokens, grid, s)
-    if fv.ndim == 4:
-        tile = num.reshape(tile, (d, h, w, 1))
-    return num.add(featmap, tile)
+    return num.add(featmap, num.reshape(tile_tokens(tokens, grid, s), (d, h, w, 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -302,26 +296,20 @@ class ToyViTEncoder(_FrozenEncoder):
 class ToyConvEncoder(_FrozenEncoder):
     """Small conv encoder: a first 3x3 conv (the frozen prefix) produces
     the hidden map the adapter is tiled onto, then two more 3x3 convs
-    (tanh between) and a global average pool."""
+    (tanh between) and a global average pool. Each adapter token covers a
+    ``patch_side`` x ``patch_side`` patch of that map."""
 
     family = "conv"
+    patch_side = 2
 
-    def __init__(
-        self,
-        image_shape: tuple[int, int, int] = (3, 8, 8),
-        dim: int = 16,
-        patch_side: int = 2,
-        seed: int = 0,
-    ):
+    def __init__(self, image_shape: tuple[int, int, int] = (3, 8, 8), dim: int = 16, seed: int = 0):
         c, h, w = image_shape
-        if h % patch_side or w % patch_side:
-            raise ConfigError(
-                f"image {h}x{w} not divisible by adapter patch side {patch_side}"
-            )
+        s = self.patch_side
+        if h % s or w % s:
+            raise ConfigError(f"image {h}x{w} not divisible by adapter patch side {s}")
         self.image_shape = (c, h, w)
         self.dim = dim
-        self.patch_side = patch_side
-        self.grid = (h // patch_side, w // patch_side)
+        self.grid = (h // s, w // s)
         self.num_tokens = self.grid[0] * self.grid[1]
         self.seed = seed
 

@@ -195,7 +195,7 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
         g = g.sum(axis=tuple(range(extra)))
     axes = tuple(i for i, s in enumerate(shape) if s == 1 and g.shape[i] != 1)
     if axes:
-        g = g.sum(axis=axes, keepdims=True)
+        g = g.sum(axis=axes)  # the reshape below restores the summed axes
     return g.reshape(shape)
 
 
@@ -231,12 +231,12 @@ def row_softmax(m):
     mv = value_of(m)
     if mv.size == 0 or mv.ndim < 1:
         raise DimensionError(f"row_softmax: input must be nonempty, got shape {mv.shape}")
-    z = mv - mv.max(axis=-1, keepdims=True)
+    z = mv - mv.max(axis=-1)[..., None]
     e = np.exp(z)
-    y = e / e.sum(axis=-1, keepdims=True)
+    y = e / e.sum(axis=-1)[..., None]
 
     def vjp(g):
-        inner = (g * y).sum(axis=-1, keepdims=True)
+        inner = (g * y).sum(axis=-1)[..., None]
         return y * (g - inner)
 
     return custom_node("row_softmax", y, ((m, vjp),))
@@ -269,7 +269,7 @@ def cosine_similarity_matrix(u, v):
     s = uhat @ vhat.T
 
     def vjp_u(g):
-        return (g @ vhat - (g * s).sum(axis=1, keepdims=True) * uhat) / un[:, None]
+        return (g @ vhat - (g * s).sum(axis=1)[:, None] * uhat) / un[:, None]
 
     def vjp_v(g):
         return (g.T @ uhat - (g * s).sum(axis=0)[:, None] * vhat) / vn[:, None]
@@ -371,31 +371,26 @@ def squared_norm(a):
     )
 
 
-def sum_axis(a, axis: int, keepdims: bool = False):
-    """Sum along one axis."""
+def sum_axis(a, axis: int):
+    """Sum along one axis, which is dropped."""
     av = value_of(a)
 
     def vjp(g):
-        if not keepdims:
-            g = np.expand_dims(g, axis)
-        return np.broadcast_to(g, av.shape).copy()
+        return np.broadcast_to(np.expand_dims(g, axis), av.shape).copy()
 
-    return custom_node("sum_axis", av.sum(axis=axis, keepdims=keepdims), ((a, vjp),))
+    return custom_node("sum_axis", av.sum(axis=axis), ((a, vjp),))
 
 
-def mean_axis(a, axis: int, keepdims: bool = False):
-    """Mean along one axis."""
+def mean_axis(a, axis: int):
+    """Mean along one axis, which is dropped."""
     av = value_of(a)
     n = av.shape[axis]
 
     def vjp(g):
-        if not keepdims:
-            g = np.expand_dims(g, axis)
-        return np.broadcast_to(g / n, av.shape).copy()
+        return np.broadcast_to(np.expand_dims(g / n, axis), av.shape).copy()
 
     # ndarray.mean's own sum-then-divide, without its wrapper
-    out = np.add.reduce(av, axis=axis, keepdims=keepdims) / n
-    return custom_node("mean_axis", out, ((a, vjp),))
+    return custom_node("mean_axis", np.add.reduce(av, axis=axis) / n, ((a, vjp),))
 
 
 def transpose(a):

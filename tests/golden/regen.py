@@ -69,16 +69,15 @@ def regen_benchmark():
     """Default-benchmark regression record: seed-0 baselines plus the
     ten-seed efficacy margins of the frozen recipe. Slow (a minute or
     two): every seed runs the full adaptation stream."""
-    from ssam.adaptation import evaluate, run_stream
-    from ssam.bench import (
-        DEFAULT_FAMILY,
-        class_average_heatmap,
-        default_encoder,
-        default_recipe,
-        generate_dataset,
-    )
+    from ssam.adaptation import AdaptConfig, evaluate, run_stream
+    from ssam.association import association_map
+    from ssam.bench import DEFAULT_FAMILY, class_average_heatmap, default_encoder, generate_dataset
     from ssam.bench.synthetic import SyntheticShiftSpec
     import ssam.numerics as num
+
+    def diag_mean(feats, labels, emb):
+        assoc = num.value_of(association_map(feats, emb).norm)
+        return float(np.diag(class_average_heatmap(assoc, labels, emb.num_categories)).mean())
 
     seeds = list(range(10))
     margins, pre, post, diag_pre, diag_post = [], [], [], [], []
@@ -87,13 +86,13 @@ def regen_benchmark():
         ds = bench.dataset
         enc = default_encoder(DEFAULT_FAMILY, ds.image_shape)
         emb = bench.embeddings[DEFAULT_FAMILY]
-        rep = run_stream(enc, ds, emb, default_recipe(seed=s))
+        rep = run_stream(enc, ds, emb, AdaptConfig(seed=s))
         images = np.asarray(ds.images, dtype=np.float64)
         labels = np.asarray(ds.labels, dtype=np.int64)
         feats0 = num.value_of(enc.encode_batch(images, enc.new_adapter()))
         feats1 = num.value_of(enc.encode_batch(images, rep.adapter))
-        diag_pre.append(float(np.diag(class_average_heatmap(feats0, labels, emb)).mean()))
-        diag_post.append(float(np.diag(class_average_heatmap(feats1, labels, emb)).mean()))
+        diag_pre.append(diag_mean(feats0, labels, emb))
+        diag_post.append(diag_mean(feats1, labels, emb))
         pre.append(rep.pre_accuracy)
         post.append(rep.post_accuracy)
         margins.append(rep.post_accuracy - rep.pre_accuracy)
@@ -103,7 +102,7 @@ def regen_benchmark():
     baselines = {}
     for family in ("vit", "conv"):
         enc = default_encoder(family, ds0.image_shape)
-        acc = evaluate(
+        _, acc = evaluate(
             enc,
             np.asarray(ds0.images, dtype=np.float64),
             np.asarray(ds0.labels, dtype=np.int64),

@@ -13,10 +13,10 @@ from ssam.adaptation import (
     AdaptConfig,
     SgdOptimizer,
     adapt_batch,
-    classify,
     classify_batch,
     evaluate,
     make_optimizer,
+    nearest_category,
     run_stream,
 )
 from ssam.association import association_map
@@ -40,24 +40,24 @@ def _small_vit():
 class TestClassify:
     def test_exact_match(self):
         emb = embed_categories(4, 8, seed=0)
-        assert classify(emb.matrix[2], emb) == 2
+        assert nearest_category(emb.matrix[2:3], emb)[0] == 2
 
     def test_antipodal_prefers_orthogonal(self):
         emb = embed_categories(2, 4, seed=0)
-        assert classify(-emb.matrix[0], emb) == 1
+        assert nearest_category(-emb.matrix[:1], emb)[0] == 1
 
     def test_scale_invariance(self):
         emb = embed_categories(3, 8, seed=1)
-        v = np.random.default_rng(0).normal(size=8)
-        assert classify(10.0 * v, emb) == classify(v, emb)
+        v = np.random.default_rng(0).normal(size=(5, 8))
+        assert np.array_equal(nearest_category(10.0 * v, emb), nearest_category(v, emb))
 
     def test_tie_breaks_low(self):
         t = np.eye(2)
-        assert classify(np.array([1.0, 1.0]), t) == 0
+        assert nearest_category(np.array([[1.0, 1.0]]), t)[0] == 0
 
     def test_zero_vector_rejected(self):
         with pytest.raises(DegenerateInputError):
-            classify(np.zeros(4), np.eye(4))
+            nearest_category(np.zeros((1, 4)), np.eye(4))
 
     def test_batch_agrees_with_single(self):
         enc = _small_vit()
@@ -66,7 +66,8 @@ class TestClassify:
         adapter = enc.new_adapter()
         batch = classify_batch(enc, imgs, adapter, emb)
         single = [
-            classify(num.value_of(enc.encode_batch(img[None], adapter))[0], emb) for img in imgs
+            nearest_category(num.value_of(enc.encode_batch(img[None], adapter)), emb)[0]
+            for img in imgs
         ]
         assert np.array_equal(batch, single)
 
@@ -76,7 +77,10 @@ class TestAdaptConfig:
         cfg = AdaptConfig()
         assert cfg.alpha == 1.0 and cfg.beta == 1.0
         assert cfg.learning_rate == 1e-4
+        assert cfg.batch_size == 64 and cfg.steps_per_batch == 50
         assert cfg.optimizer == "adam" and cfg.mode == "continual"
+        assert cfg.seed == 0
+        assert AdaptConfig(seed=5).seed == 5
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -294,7 +298,7 @@ class TestRunStream:
             ds = self._dataset(enc)
             enc_sum = enc.weights_checksum()
             t_sum = hashlib.sha256(emb.matrix.tobytes()).hexdigest()
-            run_stream(enc, ds, emb, AdaptConfig(batch_size=8, learning_rate=1e-2))
+            run_stream(enc, ds, emb, AdaptConfig(batch_size=8, learning_rate=1e-2, steps_per_batch=1))
             assert enc.weights_checksum() == enc_sum
             assert hashlib.sha256(emb.matrix.tobytes()).hexdigest() == t_sum
 
@@ -304,7 +308,8 @@ class TestRunStream:
         zero = enc.new_adapter()
         batch_preds = classify_batch(enc, ds.images, zero, emb)
         per_image = [
-            classify(num.value_of(enc.encode_batch(img[None], zero))[0], emb) for img in ds.images
+            nearest_category(num.value_of(enc.encode_batch(img[None], zero)), emb)[0]
+            for img in ds.images
         ]
         assert np.array_equal(batch_preds, per_image)  # label for label
 
@@ -318,8 +323,8 @@ class TestRunStream:
             post = num.value_of(enc.encode_batch(ds.images, rep.adapter))
             assert np.array_equal(rep.features_pre, pre)
             assert np.array_equal(rep.features_post, post)
-            assert rep.pre_accuracy == evaluate(enc, ds.images, ds.labels, enc.new_adapter(), emb)
-            assert rep.post_accuracy == evaluate(enc, ds.images, ds.labels, rep.adapter, emb)
+            assert rep.pre_accuracy == evaluate(enc, ds.images, ds.labels, enc.new_adapter(), emb)[1]
+            assert rep.post_accuracy == evaluate(enc, ds.images, ds.labels, rep.adapter, emb)[1]
 
     def test_empty_dataset_rejected(self):
         enc, emb, _ = _batch_setup()
@@ -332,14 +337,17 @@ class TestEvaluate:
     def test_all_correct(self):
         enc, emb, imgs = _batch_setup(n=6)
         labels = classify_batch(enc, imgs, enc.new_adapter(), emb)
-        assert evaluate(enc, imgs, labels, enc.new_adapter(), emb) == 1.0
+        feats, acc = evaluate(enc, imgs, labels, enc.new_adapter(), emb)
+        assert acc == 1.0
+        assert np.array_equal(feats, num.value_of(enc.encode_batch(imgs, enc.new_adapter())))
 
     def test_adversarial_permutation(self):
         enc, emb, imgs = _batch_setup(n=6)
         preds = classify_batch(enc, imgs, enc.new_adapter(), emb)
         wrong = (preds + 1) % emb.num_categories
-        assert evaluate(enc, imgs, wrong, enc.new_adapter(), emb) == 0.0
+        assert evaluate(enc, imgs, wrong, enc.new_adapter(), emb)[1] == 0.0
 
     def test_empty_is_zero(self):
         enc, emb, _ = _batch_setup()
-        assert evaluate(enc, np.zeros((0,) + enc.image_shape), [], enc.new_adapter(), emb) == 0.0
+        feats, acc = evaluate(enc, np.zeros((0,) + enc.image_shape), [], enc.new_adapter(), emb)
+        assert acc == 0.0 and feats.shape == (0, enc.dim)

@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ssam import numerics as num
 from ssam.adaptation import AdaptConfig, evaluate
+from ssam.association import association_map
 from ssam.bench import gradcheck as gc
 from ssam.bench import reports, synthetic as syn
 from ssam.encoders import embed_categories
@@ -60,7 +62,7 @@ def test_spec_rejects_bad_fields(kw):
 def test_spec_json_round_trip(tmp_path):
     spec = tiny_spec(shift_kind="pixel-noise", shift_magnitude=0.7)
     p = tmp_path / "spec.json"
-    spec.to_json(p)
+    p.write_text(json.dumps(dataclasses.asdict(spec)))
     again = syn.SyntheticShiftSpec.from_json(p)
     assert dataclasses.asdict(again) == dataclasses.asdict(spec)
 
@@ -79,14 +81,6 @@ def test_default_spec_matches_frozen_benchmark():
     assert spec.image_shape == (3, 8, 8)
     assert spec.shift_kind == "additive-bias"
     assert spec.shift_magnitude == 0.25
-
-
-def test_default_recipe_pins_frozen_settings():
-    cfg = syn.default_recipe(seed=5)
-    assert cfg.alpha == 1.0 and cfg.beta == 1.0
-    assert cfg.learning_rate == 1e-4
-    assert cfg.optimizer == "adam" and cfg.mode == "continual"
-    assert cfg.seed == 5
 
 
 # ---------------------------------------------------------------------------
@@ -120,7 +114,7 @@ def test_zero_magnitude_shift_keeps_frozen_accuracy(kind):
     ds = bench.dataset
     for fam in ("vit", "conv"):
         enc = syn.default_encoder(fam, ds.image_shape)
-        acc = evaluate(
+        _, acc = evaluate(
             enc,
             ds.images.astype(np.float64),
             ds.labels.astype(np.int64),
@@ -175,7 +169,7 @@ def test_seed0_default_benchmark_matches_golden():
     ds = bench.dataset
     for fam in ("vit", "conv"):
         enc = syn.default_encoder(fam, ds.image_shape)
-        acc = evaluate(
+        _, acc = evaluate(
             enc,
             ds.images.astype(np.float64),
             ds.labels.astype(np.int64),
@@ -385,7 +379,8 @@ def test_heatmap_rows_are_class_ordered_and_stochastic():
     t = embed_categories(3, 8, seed=2)
     feats = np.vstack([t.matrix, t.matrix[0]])  # one image per class plus an extra class-0 image
     labels = np.array([0, 1, 2, 0])
-    grid = reports.class_average_heatmap(feats, labels, t)
+    assoc = num.value_of(association_map(feats, t).norm)
+    grid = reports.class_average_heatmap(assoc, labels, 3)
     assert grid.shape == (3, 3)
     np.testing.assert_allclose(grid.sum(axis=1), 1.0, atol=1e-9)
     assert np.all(np.argmax(grid, axis=1) == np.arange(3))
@@ -401,6 +396,15 @@ def test_pca_projection_shape_and_sign_convention():
     # the sign convention pins component orientation, so negating the
     # data negates the projection instead of scrambling signs
     np.testing.assert_allclose(reports.pca_projection(-x), -p1, atol=1e-9)
+
+
+@pytest.mark.parametrize("n, d", [(1, 6), (5, 1), (1, 1)])
+def test_pca_projection_pads_missing_components_with_zero(n, d):
+    x = np.random.default_rng(3).normal(size=(n, d))
+    p = reports.pca_projection(x)
+    assert p.shape == (n, 2)
+    assert not p[:, 1].any()
+    assert p[:, 0].any() == (n > 1)
 
 
 def test_class_dispersion_hand_value():

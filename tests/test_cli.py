@@ -1,5 +1,6 @@
 """End-to-end command line checks, run in-process through main()."""
 
+import dataclasses
 import json
 import os
 import pathlib
@@ -10,6 +11,8 @@ import sys
 import pytest
 
 import ssam
+from ssam.adaptation import AdaptConfig
+from ssam.bench import DEFAULT_FAMILY, cli
 from ssam.bench.cli import main
 from ssam.encoders import embed_categories
 
@@ -269,6 +272,58 @@ def test_all_zero_image_is_exit_2(tmp_path, tiny_data, capsys, argv):
     err = capsys.readouterr().err
     assert err.startswith("numeric failure:") and "near-zero norm" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("family", ["conv", "vit"])
+def test_adapt_report_on_one_image_is_exit_0(tmp_path, tiny_data, family):
+    # one image has no second principal component; the projection pads it
+    one = tmp_path / "one.ssamds"
+    blob = tiny_data.read_bytes()
+    header = bytearray(blob[:32])
+    struct.pack_into("<I", header, 12, 1)
+    one.write_bytes(bytes(header) + blob[32 : 32 + 4 * 3 * 4 * 4] + struct.pack("<I", 0))
+    (tmp_path / f"one.ssamds.{family}.emb").write_bytes(
+        (tmp_path / f"tiny.ssamds.{family}.emb").read_bytes()
+    )
+    report = tmp_path / "rep"
+    assert main(_adapt_args(one, report=report, encoder=family)) == 0
+    for name in ("projection_pre.csv", "projection_post.csv"):
+        assert (report / name).read_text().splitlines() == ["index,label,pc1,pc2", "0,0,0.0,0.0"]
+
+
+@pytest.mark.parametrize(
+    "over",
+    [
+        {"shift_magnitude": 1e39},
+        {"sample_noise": 1e39},
+        {"shift_kind": "pixel-noise", "shift_magnitude": 1e39},
+    ],
+    ids=["shift-magnitude", "sample-noise", "pixel-noise"],
+)
+def test_gen_data_float32_overflow_is_exit_1(tmp_path, capsys, over):
+    # finite as float64 but infinite as the file's float32: the loader
+    # would reject the file, so none is written
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(dict(TINY_SPEC, **over)))
+    out = tmp_path / "x.ssamds"
+    assert main(["gen-data", "--spec", str(spec), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "not finite as float32" in err
+    assert list(tmp_path.iterdir()) == [spec]
+
+
+@pytest.mark.parametrize(
+    "command, fields",
+    [
+        ("adapt", {"alpha", "beta", "learning_rate", "batch_size", "steps_per_batch", "mode", "seed"}),
+        ("ablate", {"learning_rate", "batch_size", "steps_per_batch", "mode"}),
+    ],
+)
+def test_run_flag_defaults_are_the_recipe(command, fields):
+    args = cli._build_parser().parse_args([command, "--data", "x"])
+    recipe = dataclasses.asdict(AdaptConfig())
+    assert {k: v for k, v in vars(args).items() if k in recipe} == {k: recipe[k] for k in fields}
+    assert args.encoder == DEFAULT_FAMILY
 
 
 def test_ablate_writes_csv_and_is_deterministic(tmp_path, tiny_data):

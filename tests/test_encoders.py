@@ -111,19 +111,19 @@ class TestAdapterVit:
 
 class TestAdapterConv:
     def test_zero_adapter_is_identity(self):
-        f = np.random.default_rng(1).normal(size=(3, 4, 4))
+        f = np.random.default_rng(1).normal(size=(3, 4, 4, 1))
         out = apply_adapter_conv(f, np.zeros((4, 3)), s=2)
         assert np.array_equal(out, f)
 
     def test_single_token_fills_everything(self):
         t = np.array([[1.0, 2.0, 3.0]])
-        out = apply_adapter_conv(np.zeros((3, 2, 2)), t, s=2)
+        out = apply_adapter_conv(np.zeros((3, 2, 2, 1)), t, s=2)
         for c in range(3):
             assert np.all(out[c] == t[0, c])
 
     def test_quadrant_layout(self):
         tokens = np.arange(1.0, 5.0)[:, None]  # 4 tokens, 1 channel
-        out = apply_adapter_conv(np.zeros((1, 4, 4)), tokens, s=2)
+        out = apply_adapter_conv(np.zeros((1, 4, 4, 1)), tokens, s=2)
         assert np.all(out[0, :2, :2] == 1.0)
         assert np.all(out[0, :2, 2:] == 2.0)
         assert np.all(out[0, 2:, :2] == 3.0)
@@ -131,7 +131,7 @@ class TestAdapterConv:
 
     def test_indivisible_rejected(self):
         with pytest.raises(ConfigError):
-            apply_adapter_conv(np.zeros((1, 5, 4)), np.zeros((4, 1)), s=2)
+            apply_adapter_conv(np.zeros((1, 5, 4, 1)), np.zeros((4, 1)), s=2)
 
     def test_batch_last_stack_gets_the_same_tile_per_image(self):
         rng = np.random.default_rng(2)
@@ -140,7 +140,8 @@ class TestAdapterConv:
         out = num.value_of(apply_adapter_conv(f, tokens, s=2))
         assert out.shape == f.shape
         for b in range(f.shape[3]):
-            assert np.array_equal(out[..., b], apply_adapter_conv(f[..., b], tokens, s=2))
+            one = f[..., b : b + 1]
+            assert np.array_equal(out[..., b : b + 1], apply_adapter_conv(one, tokens, s=2))
         # the tokens' gradient sums the per-image gradients
         g = rng.normal(size=f.shape)
         stacked = num.value_and_gradient(
@@ -148,7 +149,9 @@ class TestAdapterConv:
         ).gradient
         per_image = sum(
             num.value_and_gradient(
-                lambda t, b=b: num.total_sum(num.mul(apply_adapter_conv(f[..., b], t, 2), g[..., b])),
+                lambda t, b=b: num.total_sum(
+                    num.mul(apply_adapter_conv(f[..., b : b + 1], t, 2), g[..., b : b + 1])
+                ),
                 tokens,
             ).gradient
             for b in range(f.shape[3])
@@ -250,7 +253,7 @@ def _make_encoder(family, insertion):
             image_shape=(3, 4, 4), patch_grid=(2, 2), dim=8,
             num_blocks=3, insertion_layer=insertion, seed=4,
         )
-    return ToyConvEncoder(image_shape=(3, 4, 4), dim=8, patch_side=2, seed=4)
+    return ToyConvEncoder(image_shape=(3, 4, 4), dim=8, seed=4)
 
 
 @pytest.mark.parametrize(
@@ -301,7 +304,7 @@ def test_conv3x3_same_matches_naive_loops(shape, dout):
 def test_conv_encode_batch_matches_naive_loops():
     # B >= 2 distinct images, C != D and H != W: a batch/channel mix-up or a
     # transposed grid anywhere in the batch-last stack changes the features
-    enc = ToyConvEncoder(image_shape=(2, 4, 6), dim=5, patch_side=2, seed=8)
+    enc = ToyConvEncoder(image_shape=(2, 4, 6), dim=5, seed=8)
     rng = np.random.default_rng(9)
     imgs = rng.normal(size=(3,) + enc.image_shape)
     tokens = rng.normal(0.0, 0.5, enc.adapter_shape)
@@ -317,7 +320,7 @@ def _split_cells():
             image_shape=(3, 4, 4), patch_grid=(2, 2), dim=8,
             num_blocks=3, insertion_layer=il, seed=4,
         )
-    yield ToyConvEncoder(image_shape=(3, 4, 4), dim=8, patch_side=2, seed=4)
+    yield ToyConvEncoder(image_shape=(3, 4, 4), dim=8, seed=4)
 
 
 @pytest.mark.parametrize("enc", list(_split_cells()), ids=lambda e: f"{e.family}-{getattr(e, 'insertion_layer', '-')}")
@@ -603,7 +606,7 @@ class TestAdapterParams:
         with pytest.raises(DimensionError):
             apply_adapter_vit(np.zeros((4, 3)), np.zeros(12))
         with pytest.raises(DimensionError):
-            apply_adapter_conv(np.zeros((3, 4, 4)), np.zeros(12), s=2)
+            apply_adapter_conv(np.zeros((3, 4, 4, 1)), np.zeros(12), s=2)
         for enc in (ToyViTEncoder(), ToyConvEncoder()):
             with pytest.raises(DimensionError):
                 enc.encode_batch(_test_image()[None], np.zeros(enc.adapter_shape).ravel())

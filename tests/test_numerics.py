@@ -236,7 +236,7 @@ PRIMITIVE_OBJECTIVES = {
     "diag": lambda x: num.total_sum(num.diag_part(num.matmul(x, num.transpose(x)))),
     "reshape": lambda x: num.squared_norm(num.reshape(x, (2, 2, 4))),
     "broadcast": lambda x: num.total_sum(
-        num.mul(x, num.sum_axis(x, 0, keepdims=True))
+        num.mul(x, num.reshape(num.sum_axis(x, 0), (1, -1)))
     ),
 }
 
@@ -358,11 +358,10 @@ def test_mean_axis_is_bit_identical_to_ndarray_mean(shape):
     rng = np.random.default_rng(len(shape) * 100 + sum(shape))
     x = rng.normal(0.0, 3.0, shape) + 1e3 * rng.standard_normal()
     for axis in range(-len(shape), len(shape)):
-        for keepdims in (False, True):
-            got = np.asarray(num.mean_axis(x, axis, keepdims=keepdims))
-            want = np.asarray(x.mean(axis=axis, keepdims=keepdims))
-            assert got.shape == want.shape
-            assert got.tobytes() == want.tobytes(), (axis, keepdims)
+        got = np.asarray(num.mean_axis(x, axis))
+        want = np.asarray(x.mean(axis=axis))
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes(), axis
 
 
 @pytest.mark.parametrize("m, n, d", [(1, 1, 1), (3, 5, 7), (9, 2, 13), (8, 4, 16)])

@@ -265,7 +265,7 @@ def test_loss_gradients_match_finite_differences(family, kind):
     if family == "vit":
         enc = ToyViTEncoder(image_shape=(3, 4, 4), patch_grid=(2, 2), dim=8, seed=1)
     else:
-        enc = ToyConvEncoder(image_shape=(3, 4, 4), dim=8, patch_side=2, seed=1)
+        enc = ToyConvEncoder(image_shape=(3, 4, 4), dim=8, seed=1)
     rng = np.random.default_rng(17)
     imgs = rng.normal(size=(4,) + enc.image_shape)
     t = embed_categories(3, 8, seed=5).matrix

@@ -10,6 +10,7 @@ from ssam import numerics as num
 from ssam.adaptation import AdaptConfig, AdaptReport
 from ssam.bench.reports import ReportBundle, run_ablation
 from ssam.bench.synthetic import default_encoder
+from ssam.encoders import ToyConvEncoder
 from ssam.objectives import LossBreakdown, loss_ca, total_objective
 
 
@@ -57,6 +58,9 @@ def test_settings_are_pinned():
         num.finite_difference_gradient: ["objective", "params"],
         run_ablation: ["encoder", "dataset", "emb", "base_cfg", "grid_alpha", "grid_beta", "seeds"],
         default_encoder: ["family", "image_shape", "insertion_layer"],
+        ToyConvEncoder.__init__: ["self", "image_shape", "dim", "seed"],
+        num.sum_axis: ["a", "axis"],
+        num.mean_axis: ["a", "axis"],
     }
     for fn, params in pinned.items():
         assert list(inspect.signature(fn).parameters) == params, fn.__name__
