@@ -83,6 +83,15 @@ def test_default_spec_matches_frozen_benchmark():
     assert spec.shift_magnitude == 0.25
 
 
+def test_default_recipe_pins_frozen_settings():
+    cfg = AdaptConfig(seed=5)
+    assert cfg.alpha == 1.0 and cfg.beta == 1.0
+    assert cfg.learning_rate == 1e-4
+    assert cfg.batch_size == 64 and cfg.steps_per_batch == 50
+    assert cfg.optimizer == "adam" and cfg.mode == "continual"
+    assert cfg.seed == 5
+
+
 # ---------------------------------------------------------------------------
 # generation
 
