@@ -9,12 +9,7 @@ alignment terms, all differentiated by the built-in reverse-mode tape.
 from . import adaptation, association, bench, encoders, errors, numerics, objectives
 from .adaptation import AdaptConfig, AdaptReport, adapt_batch, evaluate, run_stream
 from .association import AssociationMap, Prototypes, association_map, estimate_prototypes
-from .encoders import (
-    CategoryEmbeddings,
-    ToyConvEncoder,
-    ToyViTEncoder,
-    embed_categories,
-)
+from .encoders import ToyConvEncoder, ToyViTEncoder, category_matrix, embed_categories
 from .errors import (
     ConfigError,
     DegenerateInputError,
@@ -32,7 +27,6 @@ __all__ = [
     "AdaptConfig",
     "AdaptReport",
     "AssociationMap",
-    "CategoryEmbeddings",
     "ConfigError",
     "DegenerateInputError",
     "DimensionError",
@@ -50,6 +44,7 @@ __all__ = [
     "association",
     "association_map",
     "bench",
+    "category_matrix",
     "embed_categories",
     "encoders",
     "errors",

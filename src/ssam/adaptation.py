@@ -150,7 +150,7 @@ def evaluate(encoder, images, labels, adapter, t):
     and the fraction whose predicted index equals the label."""
     labels = np.asarray(labels)
     if len(labels) == 0:
-        return np.zeros((0, encoder.dim)), 0.0
+        raise ConfigError("evaluate needs a nonempty batch")
     feats = num.value_of(encoder.encode_batch(images, adapter))
     return feats, float((nearest_category(feats, t) == labels).mean())
 
@@ -211,8 +211,6 @@ def run_stream(encoder, dataset, t, cfg: AdaptConfig) -> AdaptReport:
     images = np.asarray(dataset.images, dtype=np.float64)
     labels = np.asarray(dataset.labels)
     n = images.shape[0]
-    if n == 0:
-        raise ConfigError("empty dataset")
 
     features_pre, pre_accuracy = evaluate(encoder, images, labels, encoder.new_adapter(), t)
 

@@ -116,12 +116,11 @@ def _load_inputs(data, family: str, insertion_layer: int = 0):
     ds = load_dataset(data)
     emb = load_companion_embeddings(data, family)
     encoder = default_encoder(family, ds.image_shape, insertion_layer=insertion_layer)
-    if emb.dim != encoder.dim:
-        raise ConfigError(f"embeddings have dim {emb.dim}, encoder produces {encoder.dim}")
-    if emb.num_categories != ds.num_classes:
-        raise ConfigError(
-            f"embeddings have {emb.num_categories} categories, dataset has {ds.num_classes}"
-        )
+    m, d = emb.shape
+    if d != encoder.dim:
+        raise ConfigError(f"embeddings have dim {d}, encoder produces {encoder.dim}")
+    if m != ds.num_classes:
+        raise ConfigError(f"embeddings have {m} categories, dataset has {ds.num_classes}")
     return ds, emb, encoder
 
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from .. import numerics as num
 from ..association import association_map, estimate_prototypes
-from ..encoders import ToyConvEncoder, ToyViTEncoder, embed_categories
+from ..encoders import ToyConvEncoder, ToyViTEncoder, category_matrix, embed_categories
 from ..errors import ConfigError
 from ..objectives import loss_ca, loss_entropy, loss_pir, reconstruct, total_objective
 
@@ -83,11 +83,10 @@ def _component_closure(component, encoder, images, t):
 
 def _categories(m: int, d: int, rng) -> np.ndarray:
     if m <= d:
-        return embed_categories(m, d, seed=7).matrix
+        return embed_categories(m, d, seed=7)
     # more categories than dimensions: orthonormality is impossible, so
     # fall back to normalized random rows (separation is irrelevant here)
-    t = rng.normal(size=(m, d))
-    return t / np.linalg.norm(t, axis=1)[:, None]
+    return category_matrix(rng.normal(size=(m, d)))
 
 
 def _encoder_cells(d: int, n: int):

@@ -88,7 +88,7 @@ class ReportBundle:
 def run_experiment(encoder, dataset, emb, cfg: AdaptConfig) -> ReportBundle:
     report = run_stream(encoder, dataset, emb, cfg)
     labels = np.asarray(dataset.labels, dtype=np.int64)
-    m = emb.num_categories
+    m = emb.shape[0]
     feats_pre, feats_post = report.features_pre, report.features_post
     assoc_pre = num.value_of(association_map(feats_pre, emb).norm)
     assoc_post = num.value_of(association_map(feats_post, emb).norm)
@@ -247,7 +247,8 @@ def run_ablation(
     base_cfg: AdaptConfig,
     grid_alpha=None,
     grid_beta=None,
-    seeds: int = 5,
+    *,
+    seeds: int,
 ) -> list:
     """One row per (cell, seed). Every cell runs every seed, so rows with
     equal (alpha, beta, seed) are identical runs regardless of their mask

@@ -1,4 +1,5 @@
-"""Synthetic distribution-shift benchmark: generation and dataset files.
+"""Synthetic distribution-shift benchmark: generation and its two file
+formats, the ``.ssamds`` dataset and the ``.emb`` category matrix.
 
 Each class is a random template image; samples are the template plus
 Gaussian noise, and a pixel-space shift (constant bias, extra pixel
@@ -25,11 +26,14 @@ import numpy as np
 
 from .. import numerics as num
 from ..adaptation import nearest_category
-from ..encoders import CategoryEmbeddings, ToyConvEncoder, ToyViTEncoder
+from ..encoders import ToyConvEncoder, ToyViTEncoder, category_matrix
 from ..errors import ConfigError, FormatError, GenerationQualityError
 
 DS_MAGIC = b"SSAMDS01"
 DS_VERSION = 1
+EMB_MAGIC = b"SSAMEMB1"
+# float32 rounding of a unit row moves its norm by ~1e-7 * sqrt(D)
+EMB_UNIT_NORM_TOL = 1e-5
 SHIFT_KINDS = ("additive-bias", "pixel-noise", "channel-rotation")
 FAMILIES = ("vit", "conv")
 
@@ -149,7 +153,7 @@ class Dataset:
 @dataclass
 class GeneratedBenchmark:
     dataset: Dataset
-    embeddings: dict  # family -> CategoryEmbeddings
+    embeddings: dict  # family -> (M, D) category matrix
     probe_accuracy: dict  # family -> unshifted frozen accuracy
 
 
@@ -212,7 +216,7 @@ def generate_dataset(spec: SyntheticShiftSpec) -> GeneratedBenchmark:
         enc = default_encoder(family, spec.image_shape)
         feats = num.value_of(enc.encode_batch(clean, enc.new_adapter()))
         means = np.stack([feats[labels == j].mean(axis=0) for j in range(m)])
-        emb = CategoryEmbeddings(means)
+        emb = category_matrix(means)
         acc = float((nearest_category(feats, emb) == labels).mean())
         if acc <= 1.0 / m + 0.05:
             raise GenerationQualityError(
@@ -226,7 +230,7 @@ def generate_dataset(spec: SyntheticShiftSpec) -> GeneratedBenchmark:
 
 
 # ---------------------------------------------------------------------------
-# dataset files
+# files: the .ssamds dataset and the .emb category matrix
 
 
 def save_dataset(ds: Dataset, path) -> None:
@@ -278,6 +282,58 @@ def load_dataset(path) -> Dataset:
     return Dataset(images, labels, num_classes=int(m))
 
 
+def save_embeddings(t: np.ndarray, path) -> None:
+    """Write a category matrix as ``.emb``: magic, u32 M and D, then the
+    rows as little-endian float32."""
+    m, d = t.shape
+    with open(path, "wb") as fh:
+        fh.write(EMB_MAGIC)
+        fh.write(struct.pack("<II", m, d))
+        fh.write(np.asarray(t, dtype="<f4").tobytes())
+
+
+def load_embeddings(path) -> np.ndarray:
+    """Read an ``.emb`` file back as a category matrix; every malformed
+    file fails with a FormatError naming a byte offset."""
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    if len(blob) < 16:
+        raise FormatError(f"{path}: header truncated at byte {len(blob)} (need 16 bytes)")
+    if blob[:8] != EMB_MAGIC:
+        raise FormatError(f"{path}: bad magic at byte 0, got {blob[:8]!r}")
+    m, d = struct.unpack_from("<II", blob, 8)
+    if m < 2:
+        raise FormatError(f"{path}: category count {m} < 2 at byte 8")
+    if d < 1:
+        raise FormatError(f"{path}: feature dim {d} < 1 at byte 12")
+    expected = 16 + 4 * m * d
+    if len(blob) != expected:
+        raise FormatError(
+            f"{path}: payload size mismatch, expected {expected} bytes, "
+            f"got {len(blob)} (payload starts at byte 16)"
+        )
+    mat = np.frombuffer(blob, dtype="<f4", offset=16).reshape(m, d).astype(np.float64)
+    if not np.all(np.isfinite(mat)):
+        flat = int(np.flatnonzero(~np.isfinite(mat))[0])
+        raise FormatError(f"{path}: non-finite value at byte {16 + 4 * flat}")
+    norms = np.linalg.norm(mat, axis=1)
+    if norms.min() <= num.ZERO_NORM_EPS:
+        row = int(np.argmin(norms))
+        raise FormatError(
+            f"{path}: category row {row} has near-zero norm at byte {16 + 4 * row * d}"
+        )
+    # the writer stores unit rows, so a row off unit norm is corruption:
+    # a damaged header whose m x d happens to fit a truncated payload
+    off = np.abs(norms - 1.0)
+    if off.max() > EMB_UNIT_NORM_TOL:
+        row = int(np.argmax(off))
+        raise FormatError(
+            f"{path}: category row {row} has norm {norms[row]:.9g}, not 1, "
+            f"at byte {16 + 4 * row * d}"
+        )
+    return category_matrix(mat)
+
+
 def companion_embedding_path(dataset_path, family: str) -> str:
     return f"{dataset_path}.{family}.emb"
 
@@ -286,13 +342,13 @@ def save_benchmark(bench: GeneratedBenchmark, path) -> None:
     """Dataset file plus one category-embedding file per encoder family."""
     save_dataset(bench.dataset, path)
     for family, emb in bench.embeddings.items():
-        emb.save(companion_embedding_path(path, family))
+        save_embeddings(emb, companion_embedding_path(path, family))
 
 
-def load_companion_embeddings(dataset_path, family: str) -> CategoryEmbeddings:
+def load_companion_embeddings(dataset_path, family: str) -> np.ndarray:
     p = companion_embedding_path(dataset_path, family)
     try:
-        return CategoryEmbeddings.load(p)
+        return load_embeddings(p)
     except FileNotFoundError:
         raise ConfigError(
             f"no category embeddings at {p}; generate the dataset with gen-data "

@@ -1,4 +1,4 @@
-"""Frozen toy image encoders, their additive adapters, and category embeddings.
+"""Frozen toy image encoders, their additive adapters, and the category matrix.
 
 Two miniature encoder families share one adapter interface: the adapter
 is a plain (N, D) float64 array, one learnable token per patch, zero
@@ -26,22 +26,11 @@ take image batches only, (B, C, H, W).
 from __future__ import annotations
 
 import hashlib
-import struct
 
 import numpy as np
 
 from . import numerics as num
-from .errors import (
-    ConfigError,
-    DegenerateInputError,
-    DimensionError,
-    FormatError,
-    NumericError,
-)
-
-EMB_MAGIC = b"SSAMEMB1"
-# float32 rounding of a unit row moves its norm by ~1e-7 * sqrt(D)
-EMB_UNIT_NORM_TOL = 1e-5
+from .errors import ConfigError, DegenerateInputError, DimensionError, NumericError
 
 
 # ---------------------------------------------------------------------------
@@ -345,102 +334,27 @@ class ToyConvEncoder(_FrozenEncoder):
 
 
 # ---------------------------------------------------------------------------
-# category embeddings
+# category matrix
 
 
-class CategoryEmbeddings:
-    """Fixed matrix T of per-category unit vectors (M x D, one row each).
-
-    Immutable once built. ``payload32`` is the float32 row-major image of
-    the matrix used by the binary file format; for loaded instances it is
-    kept verbatim so save(load(f)) reproduces f byte for byte.
-    """
-
-    def __init__(self, matrix: np.ndarray, payload32=None):
-        m = np.asarray(matrix, dtype=np.float64)
-        if m.ndim != 2:
-            raise DimensionError(f"category matrix must be M x D, got {m.shape}")
-        if m.shape[0] < 2:
-            raise ConfigError(f"need at least 2 categories, got {m.shape[0]}")
-        if not np.all(np.isfinite(m)):
-            raise NumericError("category matrix contains non-finite entries")
-        norms = np.linalg.norm(m, axis=1)
-        if norms.min() <= num.ZERO_NORM_EPS:
-            row = int(np.argmin(norms))
-            raise DegenerateInputError(f"category row {row} has near-zero norm")
-        self.matrix = _freeze(m / norms[:, None])
-        if payload32 is None:
-            payload32 = self.matrix.astype("<f4")
-        self.payload32 = _freeze(np.asarray(payload32, dtype="<f4"))
-
-    def __array__(self, dtype=None, copy=None):
-        """The frozen matrix, so numpy and every tape primitive take ``self``.
-
-        numpy 1.x calls this without ``copy``; numpy 2 passes it.
-        """
-        arr = np.asarray(self.matrix, dtype=dtype)
-        return arr.copy() if copy else arr
-
-    @property
-    def num_categories(self) -> int:
-        return self.matrix.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[1]
-
-    def save(self, path) -> None:
-        m, d = self.matrix.shape
-        with open(path, "wb") as fh:
-            fh.write(EMB_MAGIC)
-            fh.write(struct.pack("<II", m, d))
-            fh.write(self.payload32.tobytes())
-
-    @classmethod
-    def load(cls, path) -> "CategoryEmbeddings":
-        with open(path, "rb") as fh:
-            blob = fh.read()
-        if len(blob) < 16:
-            raise FormatError(
-                f"{path}: header truncated at byte {len(blob)} (need 16 bytes)"
-            )
-        if blob[:8] != EMB_MAGIC:
-            raise FormatError(f"{path}: bad magic at byte 0, got {blob[:8]!r}")
-        m, d = struct.unpack_from("<II", blob, 8)
-        if m < 2:
-            raise FormatError(f"{path}: category count {m} < 2 at byte 8")
-        if d < 1:
-            raise FormatError(f"{path}: feature dim {d} < 1 at byte 12")
-        expected = 16 + 4 * m * d
-        if len(blob) != expected:
-            raise FormatError(
-                f"{path}: payload size mismatch, expected {expected} bytes, "
-                f"got {len(blob)} (payload starts at byte 16)"
-            )
-        payload = np.frombuffer(blob, dtype="<f4", offset=16).reshape(m, d)
-        mat = payload.astype(np.float64)
-        if not np.all(np.isfinite(mat)):
-            flat = int(np.flatnonzero(~np.isfinite(mat))[0])
-            raise FormatError(f"{path}: non-finite value at byte {16 + 4 * flat}")
-        norms = np.linalg.norm(mat, axis=1)
-        if norms.min() <= num.ZERO_NORM_EPS:
-            row = int(np.argmin(norms))
-            raise FormatError(
-                f"{path}: category row {row} has near-zero norm at byte {16 + 4 * row * d}"
-            )
-        # save() writes normalised rows, so a row off unit norm is corruption:
-        # a damaged header whose m x d happens to fit a truncated payload
-        off = np.abs(norms - 1.0)
-        if off.max() > EMB_UNIT_NORM_TOL:
-            row = int(np.argmax(off))
-            raise FormatError(
-                f"{path}: category row {row} has norm {norms[row]:.9g}, not 1, "
-                f"at byte {16 + 4 * row * d}"
-            )
-        return cls(mat, payload32=payload)
+def category_matrix(rows) -> np.ndarray:
+    """The fixed category matrix T: ``rows`` scaled to unit length, as a
+    read-only float64 (M, D) array with M >= 2 finite, nonzero rows."""
+    m = np.asarray(rows, dtype=np.float64)
+    if m.ndim != 2:
+        raise DimensionError(f"category matrix must be M x D, got {m.shape}")
+    if m.shape[0] < 2:
+        raise ConfigError(f"need at least 2 categories, got {m.shape[0]}")
+    if not np.all(np.isfinite(m)):
+        raise NumericError("category matrix contains non-finite entries")
+    norms = np.linalg.norm(m, axis=1)
+    if norms.min() <= num.ZERO_NORM_EPS:
+        row = int(np.argmin(norms))
+        raise DegenerateInputError(f"category row {row} has near-zero norm")
+    return _freeze(m / norms[:, None])
 
 
-def embed_categories(num_categories: int, dim: int, seed: int = 0) -> CategoryEmbeddings:
+def embed_categories(num_categories: int, dim: int, seed: int = 0) -> np.ndarray:
     """Seeded orthonormal category directions (requires M <= D).
 
     QR of a seeded Gaussian, signs fixed so the result is deterministic;
@@ -465,4 +379,4 @@ def embed_categories(num_categories: int, dim: int, seed: int = 0) -> CategoryEm
     off = np.abs(gram - np.eye(num_categories)).max()
     if off >= 0.5:
         raise ConfigError("category directions insufficiently separated")
-    return CategoryEmbeddings(t)
+    return category_matrix(t)

@@ -45,7 +45,7 @@ def regen_encoders():
 
 def regen_categories():
     emb = embed_categories(4, 16, seed=0)
-    _dump("categories_golden.json", {"matrix": emb.matrix.tolist()})
+    _dump("categories_golden.json", {"matrix": emb.tolist()})
 
 
 def regen_adaptation():
@@ -67,8 +67,9 @@ def regen_adaptation():
 
 def regen_benchmark():
     """Default-benchmark regression record: seed-0 baselines plus the
-    ten-seed efficacy margins of the frozen recipe. Slow (a minute or
-    two): every seed runs the full adaptation stream."""
+    ten-seed efficacy margins of the frozen recipe. The slowest part of
+    this script (about 10 s on a 2-vCPU machine): every seed runs the
+    full adaptation stream."""
     from ssam.adaptation import AdaptConfig, evaluate, run_stream
     from ssam.association import association_map
     from ssam.bench import DEFAULT_FAMILY, class_average_heatmap, default_encoder, generate_dataset
@@ -77,7 +78,7 @@ def regen_benchmark():
 
     def diag_mean(feats, labels, emb):
         assoc = num.value_of(association_map(feats, emb).norm)
-        return float(np.diag(class_average_heatmap(assoc, labels, emb.num_categories)).mean())
+        return float(np.diag(class_average_heatmap(assoc, labels, len(emb))).mean())
 
     seeds = list(range(10))
     margins, pre, post, diag_pre, diag_post = [], [], [], [], []

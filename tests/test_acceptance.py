@@ -294,7 +294,7 @@ def test_criterion_7_diagnostics_trend(default_runs):
         feats1 = num.value_of(enc.encode_batch(images, entry["report"].adapter))
         for feats, diag in ((feats0, diag_pre), (feats1, diag_post)):
             assoc = num.value_of(association_map(feats, emb).norm)
-            grid = class_average_heatmap(assoc, labels, emb.num_categories)
+            grid = class_average_heatmap(assoc, labels, len(emb))
             diag.append(float(np.diag(grid).mean()))
     holds = sum(1 for a, b in zip(diag_pre, diag_post) if b >= a)
     _criterion(

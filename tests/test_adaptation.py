@@ -40,11 +40,11 @@ def _small_vit():
 class TestClassify:
     def test_exact_match(self):
         emb = embed_categories(4, 8, seed=0)
-        assert nearest_category(emb.matrix[2:3], emb)[0] == 2
+        assert nearest_category(emb[2:3], emb)[0] == 2
 
     def test_antipodal_prefers_orthogonal(self):
         emb = embed_categories(2, 4, seed=0)
-        assert nearest_category(-emb.matrix[:1], emb)[0] == 1
+        assert nearest_category(-emb[:1], emb)[0] == 1
 
     def test_scale_invariance(self):
         emb = embed_categories(3, 8, seed=1)
@@ -161,7 +161,7 @@ class TestAdaptBatch:
         # hand-rolled loop on the entropy term alone, same optimizer
         def ent_objective(tokens):
             v = enc.encode_batch(imgs, tokens)
-            return loss_entropy(association_map(v, emb.matrix))
+            return loss_entropy(association_map(v, emb))
 
         opt = make_optimizer(cfg)
         tokens = enc.new_adapter()
@@ -297,10 +297,10 @@ class TestRunStream:
             emb = embed_categories(3, 8, seed=1)
             ds = self._dataset(enc)
             enc_sum = enc.weights_checksum()
-            t_sum = hashlib.sha256(emb.matrix.tobytes()).hexdigest()
+            t_sum = hashlib.sha256(emb.tobytes()).hexdigest()
             run_stream(enc, ds, emb, AdaptConfig(batch_size=8, learning_rate=1e-2, steps_per_batch=1))
             assert enc.weights_checksum() == enc_sum
-            assert hashlib.sha256(emb.matrix.tobytes()).hexdigest() == t_sum
+            assert hashlib.sha256(emb.tobytes()).hexdigest() == t_sum
 
     def test_zero_adapter_matches_per_image_inference(self):
         enc, emb, _ = _batch_setup()
@@ -344,10 +344,10 @@ class TestEvaluate:
     def test_adversarial_permutation(self):
         enc, emb, imgs = _batch_setup(n=6)
         preds = classify_batch(enc, imgs, enc.new_adapter(), emb)
-        wrong = (preds + 1) % emb.num_categories
+        wrong = (preds + 1) % len(emb)
         assert evaluate(enc, imgs, wrong, enc.new_adapter(), emb)[1] == 0.0
 
-    def test_empty_is_zero(self):
+    def test_empty_is_config_error(self):
         enc, emb, _ = _batch_setup()
-        feats, acc = evaluate(enc, np.zeros((0,) + enc.image_shape), [], enc.new_adapter(), emb)
-        assert acc == 0.0 and feats.shape == (0, enc.dim)
+        with pytest.raises(ConfigError, match="nonempty"):
+            evaluate(enc, np.zeros((0,) + enc.image_shape), [], enc.new_adapter(), emb)

@@ -102,7 +102,7 @@ def test_generation_is_deterministic():
     assert np.array_equal(a.dataset.images, b.dataset.images)
     assert np.array_equal(a.dataset.labels, b.dataset.labels)
     for fam in ("vit", "conv"):
-        assert np.array_equal(a.embeddings[fam].matrix, b.embeddings[fam].matrix)
+        assert np.array_equal(a.embeddings[fam], b.embeddings[fam])
         assert a.probe_accuracy[fam] == b.probe_accuracy[fam]
 
 
@@ -351,7 +351,7 @@ def test_companion_embeddings_round_trip(tmp_path):
     assert (tmp_path / "d.ssamds.vit.emb").exists()
     assert (tmp_path / "d.ssamds.conv.emb").exists()
     emb = syn.load_companion_embeddings(p, "vit")
-    np.testing.assert_allclose(emb.matrix, bench.embeddings["vit"].matrix, atol=1e-6)
+    np.testing.assert_allclose(emb, bench.embeddings["vit"], atol=1e-6)
 
 
 def test_missing_companion_embeddings_is_config_error(tmp_path):
@@ -386,7 +386,7 @@ def test_default_encoder_families():
 
 def test_heatmap_rows_are_class_ordered_and_stochastic():
     t = embed_categories(3, 8, seed=2)
-    feats = np.vstack([t.matrix, t.matrix[0]])  # one image per class plus an extra class-0 image
+    feats = np.vstack([t, t[0]])  # one image per class plus an extra class-0 image
     labels = np.array([0, 1, 2, 0])
     assoc = num.value_of(association_map(feats, t).norm)
     grid = reports.class_average_heatmap(assoc, labels, 3)

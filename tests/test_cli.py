@@ -14,6 +14,7 @@ import ssam
 from ssam.adaptation import AdaptConfig
 from ssam.bench import DEFAULT_FAMILY, cli
 from ssam.bench.cli import main
+from ssam.bench.synthetic import save_embeddings
 from ssam.encoders import embed_categories
 
 TINY_SPEC = {
@@ -358,7 +359,7 @@ def test_ablate_rejects_unknown_grid_key(tmp_path, tiny_data, capsys):
     ids=["categories", "dim"],
 )
 def test_mismatched_embeddings_are_exit_1(tmp_path, tiny_data, capsys, command, m, d, message):
-    embed_categories(m, d, seed=1).save(tmp_path / "tiny.ssamds.conv.emb")
+    save_embeddings(embed_categories(m, d, seed=1), tmp_path / "tiny.ssamds.conv.emb")
     report = tmp_path / "report"
     argv = [command, "--data", str(tiny_data), "--encoder", "conv", "--steps", "1",
             "--report", str(report)]

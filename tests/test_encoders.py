@@ -11,12 +11,13 @@ from hypothesis import given, settings, strategies as st
 import ssam.numerics as num
 from ssam import encoders
 from ssam.bench import gradcheck as gc
+from ssam.bench.synthetic import load_embeddings, save_embeddings
 from ssam.encoders import (
-    CategoryEmbeddings,
     ToyConvEncoder,
     ToyViTEncoder,
     apply_adapter_conv,
     apply_adapter_vit,
+    category_matrix,
     embed_categories,
     tile_tokens,
 )
@@ -430,20 +431,20 @@ def test_prefix_rejects_nonfinite_images():
             enc.prefix(imgs)
 
 
-class TestCategoryEmbeddings:
+class TestCategoryMatrix:
     def test_orthonormal_two_by_two(self):
         emb = embed_categories(2, 2, seed=0)
-        gram = emb.matrix @ emb.matrix.T
+        gram = emb @ emb.T
         assert abs(gram[0, 1]) < 1e-9
         assert np.allclose(np.diag(gram), 1.0, atol=1e-12)
 
     def test_rows_unit_norm(self):
         emb = embed_categories(4, 16, seed=3)
-        assert np.allclose(np.linalg.norm(emb.matrix, axis=1), 1.0, atol=1e-12)
+        assert np.allclose(np.linalg.norm(emb, axis=1), 1.0, atol=1e-12)
 
     def test_deterministic_in_seed(self):
-        a = embed_categories(3, 8, seed=9).matrix
-        b = embed_categories(3, 8, seed=9).matrix
+        a = embed_categories(3, 8, seed=9)
+        b = embed_categories(3, 8, seed=9)
         assert np.array_equal(a, b)
 
     def test_too_many_categories(self):
@@ -457,60 +458,41 @@ class TestCategoryEmbeddings:
     def test_matrix_immutable(self):
         emb = embed_categories(2, 4)
         with pytest.raises(ValueError):
-            emb.matrix[0, 0] = 2.0
-
-    def test_array_protocol(self):
-        emb = embed_categories(3, 8, seed=1)
-        assert np.shares_memory(np.asarray(emb), emb.matrix)
-        # numpy 1.x calls __array__() or __array__(dtype), never with copy.
-        assert emb.__array__() is emb.matrix
-        f32 = emb.__array__(np.float32)
-        assert f32.dtype == np.float32 and np.allclose(f32, emb.matrix, atol=1e-7)
-        fresh = emb.__array__(copy=True)
-        assert not np.shares_memory(fresh, emb.matrix)
-        fresh[0, 0] = 2.0
-        assert emb.matrix[0, 0] != 2.0
-        np.testing.assert_array_equal(num.value_of(emb), emb.matrix)
+            emb[0, 0] = 2.0
 
     def test_golden_matrix(self):
         g = _load_golden("categories_golden.json")
         emb = embed_categories(4, 16, seed=0)
-        np.testing.assert_allclose(emb.matrix, g["matrix"], rtol=0, atol=1e-10)
+        np.testing.assert_allclose(emb, g["matrix"], rtol=0, atol=1e-10)
 
     def test_round_trip(self, tmp_path):
         emb = embed_categories(3, 8, seed=1)
         f1 = tmp_path / "a.emb"
-        emb.save(f1)
-        loaded = CategoryEmbeddings.load(f1)
-        assert np.allclose(loaded.matrix, emb.matrix, atol=1e-6)
-        assert np.allclose(np.linalg.norm(loaded.matrix, axis=1), 1.0, atol=1e-12)
-        # a loaded instance saves back byte for byte
-        f2 = tmp_path / "b.emb"
-        loaded.save(f2)
-        assert f1.read_bytes() == f2.read_bytes()
-        # and its reload reproduces the exact working matrix
-        again = CategoryEmbeddings.load(f2)
-        assert np.array_equal(again.matrix, loaded.matrix)
+        save_embeddings(emb, f1)
+        loaded = load_embeddings(f1)
+        assert np.allclose(loaded, emb, atol=1e-6)
+        assert np.allclose(np.linalg.norm(loaded, axis=1), 1.0, atol=1e-12)
+        assert loaded.dtype == np.float64 and not loaded.flags.writeable
 
     def test_bad_magic(self, tmp_path):
         f = tmp_path / "bad.emb"
         f.write_bytes(b"NOTMAGIC" + b"\x00" * 16)
         with pytest.raises(FormatError, match="byte 0"):
-            CategoryEmbeddings.load(f)
+            load_embeddings(f)
 
     def test_truncated_header(self, tmp_path):
         f = tmp_path / "short.emb"
         f.write_bytes(b"SSAMEMB1\x02\x00")
         with pytest.raises(FormatError, match="byte 10"):
-            CategoryEmbeddings.load(f)
+            load_embeddings(f)
 
     def test_payload_size_mismatch(self, tmp_path):
         f = tmp_path / "trunc.emb"
         emb = embed_categories(3, 8, seed=1)
-        emb.save(f)
+        save_embeddings(emb, f)
         f.write_bytes(f.read_bytes()[:-4])
         with pytest.raises(FormatError, match="expected"):
-            CategoryEmbeddings.load(f)
+            load_embeddings(f)
 
     def test_nonfinite_payload_names_offset(self, tmp_path):
         import struct
@@ -520,11 +502,29 @@ class TestCategoryEmbeddings:
         payload[1, 0] = np.nan  # flat index 2 -> byte 16 + 8
         f.write_bytes(b"SSAMEMB1" + struct.pack("<II", 2, 2) + payload.tobytes())
         with pytest.raises(FormatError, match="byte 24"):
-            CategoryEmbeddings.load(f)
+            load_embeddings(f)
 
     def test_zero_row_rejected(self):
         with pytest.raises(DegenerateInputError):
-            CategoryEmbeddings(np.array([[1.0, 0.0], [0.0, 0.0]]))
+            category_matrix(np.array([[1.0, 0.0], [0.0, 0.0]]))
+
+    @pytest.mark.parametrize(
+        "rows, error",
+        [
+            (np.ones(4), DimensionError),
+            (np.ones((1, 4)), ConfigError),
+            (np.array([[1.0, np.nan], [0.0, 1.0]]), NumericError),
+        ],
+    )
+    def test_bad_rows_rejected(self, rows, error):
+        with pytest.raises(error):
+            category_matrix(rows)
+
+    def test_rows_scaled_to_unit_norm_without_touching_the_input(self):
+        rows = np.array([[3.0, 4.0], [0.0, -2.0]])
+        t = category_matrix(rows)
+        np.testing.assert_array_equal(t, [[0.6, 0.8], [0.0, -1.0]])
+        assert rows.flags.writeable and rows[0, 0] == 3.0
 
     @pytest.mark.parametrize("row", [0, 2])
     def test_zero_norm_payload_row_names_offset(self, tmp_path, row):
@@ -537,24 +537,24 @@ class TestCategoryEmbeddings:
         f.write_bytes(b"SSAMEMB1" + struct.pack("<II", m, d) + payload.tobytes())
         offset = 16 + 4 * row * d
         with pytest.raises(FormatError, match=f"row {row} has near-zero norm at byte {offset}$"):
-            CategoryEmbeddings.load(f)
+            load_embeddings(f)
 
     def test_header_damage_fitting_a_truncation_rejected(self, tmp_path):
         # feature dim 3 -> 1 (one bit at byte 12) and the file cut to 2 x 1
         # floats: the sizes agree, but the rows are no longer unit vectors
         f = tmp_path / "cut.emb"
-        embed_categories(2, 3, seed=1).save(f)
+        save_embeddings(embed_categories(2, 3, seed=1), f)
         blob = bytearray(f.read_bytes())
         blob[12] ^= 0b10
         f.write_bytes(bytes(blob[:24]))
         with pytest.raises(FormatError, match=r"row \d has norm .*, not 1, at byte"):
-            CategoryEmbeddings.load(f)
+            load_embeddings(f)
 
 
 def _small_emb_bytes() -> bytes:
     with tempfile.TemporaryDirectory() as d:
         p = pathlib.Path(d) / "small.emb"
-        embed_categories(2, 3, seed=1).save(p)
+        save_embeddings(embed_categories(2, 3, seed=1), p)
         return p.read_bytes()
 
 
@@ -565,7 +565,7 @@ def _load_emb_bytes(blob):
         p = pathlib.Path(d) / "fuzzed.emb"
         p.write_bytes(bytes(blob))
         try:
-            return CategoryEmbeddings.load(p)
+            return load_embeddings(p)
         except FormatError as exc:
             assert "byte" in str(exc)
             return None
@@ -580,7 +580,7 @@ def test_emb_load_every_truncation_and_bit_flip_fails_with_a_byte_offset():
         blob[bit // 8] ^= 1 << (bit % 8)
         emb = _load_emb_bytes(blob)
         if emb is not None:  # only a flip inside the payload can still load
-            assert bit >= 8 * 16 and emb.matrix.shape == (2, 3)
+            assert bit >= 8 * 16 and emb.shape == (2, 3)
 
 
 @settings(max_examples=300, deadline=None)
@@ -594,8 +594,8 @@ def test_emb_load_fuzz_fails_only_with_a_byte_offset(flips, length):
         blob[bit // 8] ^= 1 << (bit % 8)
     emb = _load_emb_bytes(blob if length is None else blob[:length])
     if emb is not None:
-        assert length is None and emb.matrix.shape == (2, 3)
-        assert np.allclose(np.linalg.norm(emb.matrix, axis=1), 1.0)
+        assert length is None and emb.shape == (2, 3)
+        assert np.allclose(np.linalg.norm(emb, axis=1), 1.0)
 
 
 class TestAdapterParams:

@@ -217,7 +217,7 @@ class TestTotalObjective:
 
     def test_self_consistency_saturated(self):
         emb = embed_categories(4, 8, seed=0)
-        v = emb.matrix.copy()
+        v = emb.copy()
         norm = _softmax_rows(30.0 * np.eye(4))
         assoc = AssociationMap(raw=None, norm=norm)
         protos = estimate_prototypes(assoc, v)
@@ -268,7 +268,7 @@ def test_loss_gradients_match_finite_differences(family, kind):
         enc = ToyConvEncoder(image_shape=(3, 4, 4), dim=8, seed=1)
     rng = np.random.default_rng(17)
     imgs = rng.normal(size=(4,) + enc.image_shape)
-    t = embed_categories(3, 8, seed=5).matrix
+    t = embed_categories(3, 8, seed=5)
     tokens0 = rng.normal(0.0, 0.2, enc.adapter_shape)
     f = _component_closure(kind, enc, imgs, t)
     analytic = num.value_and_gradient(f, tokens0).gradient
