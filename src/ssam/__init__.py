@@ -8,7 +8,7 @@ alignment terms, all differentiated by the built-in reverse-mode tape.
 
 from . import adaptation, association, bench, encoders, errors, numerics, objectives
 from .adaptation import AdaptConfig, AdaptReport, adapt_batch, evaluate, run_stream
-from .association import AssociationMap, Prototypes, association_map, estimate_prototypes
+from .association import association_map, estimate_prototypes
 from .encoders import ToyConvEncoder, ToyViTEncoder, category_matrix, embed_categories
 from .errors import (
     ConfigError,
@@ -26,7 +26,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AdaptConfig",
     "AdaptReport",
-    "AssociationMap",
     "ConfigError",
     "DegenerateInputError",
     "DimensionError",
@@ -34,7 +33,6 @@ __all__ = [
     "GenerationQualityError",
     "LossBreakdown",
     "NumericError",
-    "Prototypes",
     "SsamError",
     "ToyConvEncoder",
     "ToyViTEncoder",

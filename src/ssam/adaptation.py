@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -151,6 +151,8 @@ def evaluate(encoder, images, labels, adapter, t):
     labels = np.asarray(labels)
     if len(labels) == 0:
         raise ConfigError("evaluate needs a nonempty batch")
+    if len(labels) != len(images):
+        raise ConfigError(f"evaluate got {len(labels)} labels for {len(images)} images")
     feats = num.value_of(encoder.encode_batch(images, adapter))
     return feats, float((nearest_category(feats, t) == labels).mean())
 
@@ -176,11 +178,9 @@ def adapt_batch(encoder, images, adapter, t, cfg: AdaptConfig, optimizer=None):
 
     def objective(tok):
         v = encoder.suffix(prefix, tok)
-        bd = total_objective(v, t, alpha=cfg.alpha, beta=cfg.beta)
-        # history keeps the float curve only; a retained graph node would
-        # pin every intermediate array of this forward pass
-        history.append(replace(bd, total_node=None))
-        return bd.total_node
+        total, bd = total_objective(v, t, alpha=cfg.alpha, beta=cfg.beta)
+        history.append(bd)
+        return total
 
     try:
         for _ in range(cfg.steps_per_batch):

@@ -68,15 +68,15 @@ def _component_closure(component, encoder, images, t):
 
     def f(tokens):
         v = encoder.suffix(prefix, tokens)
-        assoc = association_map(v, t)
+        a = association_map(v, t)
         if component == "ent":
-            return loss_entropy(assoc)
-        protos = estimate_prototypes(assoc, v)
+            return loss_entropy(a)
+        p = estimate_prototypes(a, v)
         if component == "ca":
-            return loss_ca(protos.p, t)
+            return loss_ca(p, t)
         if component == "pir":
-            return loss_pir(reconstruct(assoc, protos), v)
-        return total_objective(v, t).total_node
+            return loss_pir(reconstruct(a, p), v)
+        return total_objective(v, t)[0]
 
     return f
 

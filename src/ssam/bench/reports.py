@@ -90,8 +90,8 @@ def run_experiment(encoder, dataset, emb, cfg: AdaptConfig) -> ReportBundle:
     labels = np.asarray(dataset.labels, dtype=np.int64)
     m = emb.shape[0]
     feats_pre, feats_post = report.features_pre, report.features_post
-    assoc_pre = num.value_of(association_map(feats_pre, emb).norm)
-    assoc_post = num.value_of(association_map(feats_post, emb).norm)
+    assoc_pre = num.value_of(association_map(feats_pre, emb))
+    assoc_post = num.value_of(association_map(feats_post, emb))
 
     summary = {
         "encoder_family": encoder.family,

@@ -238,14 +238,6 @@ class ToyViTEncoder(_FrozenEncoder):
         for blk in self.blocks:  # wq, wk, wv, wo, w1, w2
             yield from blk.values()
 
-    def extract_patch_blocks(self, img: np.ndarray) -> np.ndarray:
-        """Raw flattened patches, (N, C*ph*pw), row-major over the grid."""
-        return self._blocks_of(self._check_images(img[None]))[0]
-
-    def patchify(self, img: np.ndarray) -> np.ndarray:
-        """Patch embeddings p_1..p_N, (N, D): flatten then frozen linear map."""
-        return self.extract_patch_blocks(img) @ self.w_embed
-
     def _blocks_of(self, imgs: np.ndarray) -> np.ndarray:
         b = imgs.shape[0]
         c, h, w = self.image_shape

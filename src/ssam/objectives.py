@@ -10,34 +10,35 @@ feature, L_ca is a symmetric InfoNCE between prototypes and category
 directions over cosine logits, and L_ent is the mean Shannon entropy of
 the association rows. Gradients flow through V everywhere it appears:
 map, prototypes, reconstruction, and the reconstruction target.
+
+The losses take the plain tape values of ``association``: the map
+A_norm and the prototype matrix P. ``total_objective`` returns the pair
+``(total, LossBreakdown)``: the total's tape node, to differentiate, and
+the components as floats, which hold no graph.
 """
 
 from dataclasses import dataclass
 
 from . import numerics as num
-from .association import AssociationMap, Prototypes, association_map, estimate_prototypes
+from .association import association_map, estimate_prototypes
 from .errors import ConfigError, DimensionError
 
 
 @dataclass
 class LossBreakdown:
-    """Loss components as plain floats plus the differentiable total.
-
-    ``total_node`` is the graph node behind ``total``; differentiate that
-    to adapt. With the weights ``total_objective`` was called with, the
-    floats satisfy total = l_ent + alpha*l_pir + beta*l_ca.
-    """
+    """Loss components as plain floats. With the weights
+    ``total_objective`` was called with, total = l_ent + alpha*l_pir +
+    beta*l_ca."""
 
     l_ent: float
     l_pir: float
     l_ca: float
     total: float
-    total_node: object = None
 
 
-def reconstruct(assoc: AssociationMap, protos: Prototypes):
+def reconstruct(a, p):
     """V_hat_i = sum over categories k of A_norm(i, k) P_k."""
-    return num.matmul(assoc.norm, protos.p)
+    return num.matmul(a, p)
 
 
 def loss_pir(v_hat, v):
@@ -67,14 +68,15 @@ def loss_ca(p, t):
     return num.mul(num.add(p2c, c2p), 0.5)
 
 
-def loss_entropy(assoc: AssociationMap):
+def loss_entropy(a):
     """Mean Shannon entropy of the association rows (0 log 0 = 0)."""
-    b = num.value_of(assoc.norm).shape[0]
-    return num.mul(num.total_sum(num.xlogx(assoc.norm)), -1.0 / b)
+    b = num.value_of(a).shape[0]
+    return num.mul(num.total_sum(num.xlogx(a)), -1.0 / b)
 
 
-def total_objective(v, t, alpha: float = 1.0, beta: float = 1.0) -> LossBreakdown:
-    """Compose map -> prototypes -> reconstruction -> weighted losses.
+def total_objective(v, t, alpha: float = 1.0, beta: float = 1.0):
+    """Compose map -> prototypes -> reconstruction -> weighted losses;
+    returns the total's tape node and the LossBreakdown of floats.
 
     Zero-weighted terms are left out of the graph entirely, so alpha =
     beta = 0 gives a total node identical to the entropy node. Component
@@ -82,22 +84,15 @@ def total_objective(v, t, alpha: float = 1.0, beta: float = 1.0) -> LossBreakdow
     """
     if alpha < 0 or beta < 0:
         raise ConfigError(f"loss weights must be >= 0, got alpha={alpha} beta={beta}")
-    assoc = association_map(v, t)
-    protos = estimate_prototypes(assoc, v)
-    v_hat = reconstruct(assoc, protos)
-    ent = loss_entropy(assoc)
+    a = association_map(v, t)
+    p = estimate_prototypes(a, v)
+    v_hat = reconstruct(a, p)
+    ent = loss_entropy(a)
     pir = loss_pir(v_hat, v)
-    ca = loss_ca(protos.p, t)
+    ca = loss_ca(p, t)
     total = ent
     if alpha != 0.0:
         total = num.add(total, num.mul(pir, alpha))
     if beta != 0.0:
         total = num.add(total, num.mul(ca, beta))
-    as_float = lambda x: float(num.value_of(x))
-    return LossBreakdown(
-        l_ent=as_float(ent),
-        l_pir=as_float(pir),
-        l_ca=as_float(ca),
-        total=as_float(total),
-        total_node=total,
-    )
+    return total, LossBreakdown(*(float(num.value_of(x)) for x in (ent, pir, ca, total)))

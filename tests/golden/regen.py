@@ -36,7 +36,7 @@ def regen_encoders():
         {
             "image": img.tolist(),
             "adapter_tokens": tokens.tolist(),
-            "vit_patch_embeddings": vit.patchify(img).tolist(),
+            "vit_patch_embeddings": vit.prefix(img[None])[0].tolist(),
             "vit_feature": vit.encode_batch(img[None], tokens)[0].tolist(),
             "conv_feature": conv.encode_batch(img[None], tokens)[0].tolist(),
         },
@@ -77,7 +77,7 @@ def regen_benchmark():
     import ssam.numerics as num
 
     def diag_mean(feats, labels, emb):
-        assoc = num.value_of(association_map(feats, emb).norm)
+        assoc = num.value_of(association_map(feats, emb))
         return float(np.diag(class_average_heatmap(assoc, labels, len(emb))).mean())
 
     seeds = list(range(10))

@@ -20,7 +20,7 @@ import ssam.numerics as num
 from conftest import ACCEPTANCE_LINES
 from oracles import naive_association, naive_prototypes, naive_reconstruction
 from ssam.adaptation import AdaptConfig, classify_batch, nearest_category, run_stream
-from ssam.association import AssociationMap, association_map, estimate_prototypes
+from ssam.association import association_map, estimate_prototypes
 from ssam.bench import (
     DEFAULT_FAMILY,
     class_average_heatmap,
@@ -111,19 +111,18 @@ def test_criterion_2_oracle_equivalence():
         d = int(rng.integers(1, 4))
         v = rng.normal(size=(b, d))
         t = rng.normal(size=(m, d))
-        assoc = association_map(v, t)
-        protos = estimate_prototypes(assoc, v)
-        v_hat = reconstruct(assoc, protos)
+        a = association_map(v, t)
+        p = estimate_prototypes(a, v)
 
         raw_o, norm_o = naive_association(v, t)
         p_o, mass_o = naive_prototypes(norm_o, v)
         vhat_o = naive_reconstruction(norm_o, p_o)
         for got, want in (
-            (assoc.raw, raw_o),
-            (assoc.norm, norm_o),
-            (protos.p, p_o),
-            (protos.mass, mass_o),
-            (v_hat, vhat_o),
+            (num.cosine_similarity_matrix(v, t), raw_o),
+            (a, norm_o),
+            (p, p_o),
+            (num.sum_axis(a, axis=0), mass_o),
+            (reconstruct(a, p), vhat_o),
         ):
             worst = max(worst, float(np.abs(num.value_of(got) - want).max()))
     _criterion(
@@ -144,14 +143,15 @@ def test_criterion_3_invariant_suite():
         b, m, d = int(rng.integers(1, 33)), int(rng.integers(2, 7)), int(rng.integers(2, 17))
         v = rng.normal(size=(b, d))
         t = rng.normal(size=(m, d))
-        assoc = association_map(v, t)
-        norm = num.value_of(assoc.norm)
+        a = association_map(v, t)
+        norm = num.value_of(a)
         checks.append(np.abs(norm.sum(axis=1) - 1.0).max() <= 1e-9)
-        mass = num.value_of(estimate_prototypes(assoc, v).mass)
-        weights = norm / mass
+        weights = norm / norm.sum(axis=0)
         checks.append(weights.min() >= -1e-9)
         checks.append(np.abs(weights.sum(axis=0) - 1.0).max() <= 1e-9)
-        ent = float(num.value_of(loss_entropy(assoc)))
+        p = num.value_of(estimate_prototypes(a, v))
+        checks.append(np.abs(p - weights.T @ v).max() <= 1e-9)
+        ent = float(num.value_of(loss_entropy(a)))
         checks.append(-1e-12 <= ent <= math.log(m) + 1e-12)
 
     # classification is invariant under positive feature scaling
@@ -186,14 +186,15 @@ def test_criterion_3_invariant_suite():
         "invariant suite",
         all(checks),
         f"{sum(bool(c) for c in checks)}/{len(checks)} invariant checks hold "
-        f"(row-stochastic 1e-9, convex weights 1e-9, entropy in [0, ln M], "
-        f"scale-invariant classify, frozen checksums, zero-adapter identity)",
+        f"(row-stochastic 1e-9, convex weights 1e-9, prototypes = weights^T V 1e-9, "
+        f"entropy in [0, ln M], scale-invariant classify, frozen checksums, "
+        f"zero-adapter identity)",
     )
 
 
 def test_criterion_4_hand_values():
     eye = np.eye(2)
-    norm = num.value_of(association_map(eye, eye).norm)
+    norm = num.value_of(association_map(eye, eye))
     softmax_err = max(
         float(np.abs(norm[0] - np.array([0.7311, 0.2689])).max()),
         float(np.abs(norm[1] - np.array([0.2689, 0.7311])).max()),
@@ -202,7 +203,7 @@ def test_criterion_4_hand_values():
     ca = float(num.value_of(loss_ca(eye, eye)))
     ca_err = abs(ca - 0.31326)
 
-    ent = float(num.value_of(loss_entropy(AssociationMap(raw=None, norm=np.array([[0.75, 0.25]])))))
+    ent = float(num.value_of(loss_entropy(np.array([[0.75, 0.25]]))))
     ent_err = abs(ent - 0.56234)
 
     ok = softmax_err <= 1e-4 and ca_err <= 1e-5 and ent_err <= 1e-5
@@ -293,7 +294,7 @@ def test_criterion_7_diagnostics_trend(default_runs):
         feats0 = num.value_of(enc.encode_batch(images, enc.new_adapter()))
         feats1 = num.value_of(enc.encode_batch(images, entry["report"].adapter))
         for feats, diag in ((feats0, diag_pre), (feats1, diag_post)):
-            assoc = num.value_of(association_map(feats, emb).norm)
+            assoc = num.value_of(association_map(feats, emb))
             grid = class_average_heatmap(assoc, labels, len(emb))
             diag.append(float(np.diag(grid).mean()))
     holds = sum(1 for a, b in zip(diag_pre, diag_post) if b >= a)

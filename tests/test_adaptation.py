@@ -1,5 +1,6 @@
 """Tests for inference, the optimizers, and the adaptation loop."""
 
+import dataclasses
 import hashlib
 import json
 import pathlib
@@ -289,8 +290,9 @@ class TestRunStream:
         rep = run_stream(enc, ds, emb, cfg)
         assert rep.num_batches == 3  # 8 + 8 + 4
         assert len(rep.history) == rep.num_batches * cfg.steps_per_batch
-        # curve entries must not pin the step's computation graph
-        assert all(b.total_node is None for b in rep.history)
+        # curve entries hold floats only, so they cannot pin a step's graph
+        for b in rep.history:
+            assert all(type(getattr(b, f.name)) is float for f in dataclasses.fields(b))
 
     def test_frozen_state_untouched(self):
         for enc in (_small_vit(), ToyConvEncoder(image_shape=(3, 4, 4), dim=8, seed=2)):
@@ -351,3 +353,13 @@ class TestEvaluate:
         enc, emb, _ = _batch_setup()
         with pytest.raises(ConfigError, match="nonempty"):
             evaluate(enc, np.zeros((0,) + enc.image_shape), [], enc.new_adapter(), emb)
+
+    @pytest.mark.parametrize("labels", [[0], [0, 1, 2]])
+    def test_label_count_mismatch_is_config_error(self, labels):
+        # one label used to broadcast against all six predictions, and
+        # three died in numpy's broadcast ValueError
+        enc = ToyConvEncoder(image_shape=(3, 4, 4), dim=8, seed=2)
+        emb = embed_categories(3, 8, seed=1)
+        imgs = np.random.default_rng(7).normal(size=(6,) + enc.image_shape)
+        with pytest.raises(ConfigError, match=f"{len(labels)} labels for 6 images"):
+            evaluate(enc, imgs, labels, enc.new_adapter(), emb)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import ssam.numerics as num
-from ssam.association import AssociationMap, association_map, estimate_prototypes
+from ssam.association import association_map, estimate_prototypes
 from ssam.encoders import embed_categories
 from ssam.errors import DegenerateInputError, DimensionError
 
@@ -20,22 +20,22 @@ P_LO = 1.0 / (1.0 + math.e)
 
 class TestAssociationMap:
     def test_single_category(self):
-        assoc = association_map(np.array([[3.0, 4.0]]), np.array([[1.0, 0.0]]))
-        assert np.array_equal(num.value_of(assoc.norm), [[1.0]])
+        a = association_map(np.array([[3.0, 4.0]]), np.array([[1.0, 0.0]]))
+        assert np.array_equal(num.value_of(a), [[1.0]])
 
     def test_identity_features_hand_values(self):
         eye = np.eye(2)
-        assoc = association_map(eye, eye)
-        assert np.allclose(num.value_of(assoc.raw), eye, atol=1e-12)
+        assert np.allclose(num.value_of(num.cosine_similarity_matrix(eye, eye)), eye, atol=1e-12)
+        a = num.value_of(association_map(eye, eye))
         expected = [[P_HI, P_LO], [P_LO, P_HI]]
-        assert np.allclose(num.value_of(assoc.norm), expected, atol=1e-12)
+        assert np.allclose(a, expected, atol=1e-12)
         # the printed four-digit figures
-        assert np.allclose(num.value_of(assoc.norm), [[0.7311, 0.2689], [0.2689, 0.7311]], atol=1e-4)
+        assert np.allclose(a, [[0.7311, 0.2689], [0.2689, 0.7311]], atol=1e-4)
 
     def test_equidistant_row_is_uniform(self):
         v = np.array([[1.0, 1.0]]) / math.sqrt(2.0)
-        assoc = association_map(v, np.eye(2))
-        assert np.allclose(num.value_of(assoc.norm), [[0.5, 0.5]], atol=1e-12)
+        a = association_map(v, np.eye(2))
+        assert np.allclose(num.value_of(a), [[0.5, 0.5]], atol=1e-12)
 
     def test_zero_norm_feature_rejected(self):
         with pytest.raises(DegenerateInputError):
@@ -48,44 +48,44 @@ class TestAssociationMap:
     def test_accepts_category_embeddings(self):
         emb = embed_categories(3, 8, seed=2)
         v = np.random.default_rng(0).normal(size=(4, 8))
-        assoc = association_map(v, emb)
-        assert num.value_of(assoc.norm).shape == (4, 3)
+        assert num.value_of(association_map(v, emb)).shape == (4, 3)
 
     def test_raw_entries_are_cosines(self):
+        # the map is the row softmax of the cosine matrix, bit for bit
         rng = np.random.default_rng(5)
-        assoc = association_map(rng.normal(size=(6, 4)), rng.normal(size=(3, 4)))
-        raw = num.value_of(assoc.raw)
+        v, t = rng.normal(size=(6, 4)), rng.normal(size=(3, 4))
+        raw = num.value_of(num.cosine_similarity_matrix(v, t))
         assert raw.min() >= -1.0 - 1e-12 and raw.max() <= 1.0 + 1e-12
+        want = num.value_of(num.row_softmax(raw))
+        assert np.array_equal(num.value_of(association_map(v, t)), want)
 
 
 class TestPrototypes:
     def test_uniform_map_gives_batch_mean(self):
         v = np.random.default_rng(1).normal(size=(5, 3))
-        assoc = AssociationMap(raw=None, norm=np.full((5, 4), 0.25))
-        protos = estimate_prototypes(assoc, v)
+        p = estimate_prototypes(np.full((5, 4), 0.25), v)
         want = v.mean(axis=0)
-        for row in num.value_of(protos.p):
+        for row in num.value_of(p):
             assert np.allclose(row, want, atol=1e-12)
 
     def test_single_instance_dominates(self):
         v = np.array([[2.0, -1.0, 0.5]])
-        assoc = association_map(v, np.eye(3))
-        protos = estimate_prototypes(assoc, v)
-        for row in num.value_of(protos.p):
+        p = estimate_prototypes(association_map(v, np.eye(3)), v)
+        for row in num.value_of(p):
             assert np.allclose(row, v[0], atol=1e-12)
 
     def test_hand_case_identity_batch(self):
         eye = np.eye(2)
-        assoc = association_map(eye, eye)
-        protos = estimate_prototypes(assoc, eye)
-        assert np.allclose(num.value_of(protos.p)[0], [P_HI, P_LO], atol=1e-12)
-        assert np.allclose(num.value_of(protos.p)[1], [P_LO, P_HI], atol=1e-12)
-        assert np.allclose(num.value_of(protos.mass), [1.0, 1.0], atol=1e-12)
+        a = association_map(eye, eye)
+        p = num.value_of(estimate_prototypes(a, eye))
+        assert np.allclose(p[0], [P_HI, P_LO], atol=1e-12)
+        assert np.allclose(p[1], [P_LO, P_HI], atol=1e-12)
+        # the column masses behind the convex weights
+        assert np.allclose(num.value_of(a).sum(axis=0), [1.0, 1.0], atol=1e-12)
 
     def test_batch_size_mismatch(self):
-        assoc = AssociationMap(raw=None, norm=np.full((3, 2), 0.5))
         with pytest.raises(DimensionError):
-            estimate_prototypes(assoc, np.ones((4, 2)))
+            estimate_prototypes(np.full((3, 2), 0.5), np.ones((4, 2)))
 
 
 def test_matches_naive_loops_on_small_instances():
@@ -96,14 +96,13 @@ def test_matches_naive_loops_on_small_instances():
         d = int(rng.integers(1, 4))
         v = rng.normal(size=(b, d))
         t = rng.normal(size=(m, d))
-        assoc = association_map(v, t)
-        protos = estimate_prototypes(assoc, v)
+        a = association_map(v, t)
         raw_ref, norm_ref = naive_association(v, t)
         p_ref, mass_ref = naive_prototypes(norm_ref, v)
-        assert np.abs(num.value_of(assoc.raw) - raw_ref).max() <= 1e-12
-        assert np.abs(num.value_of(assoc.norm) - norm_ref).max() <= 1e-12
-        assert np.abs(num.value_of(protos.p) - p_ref).max() <= 1e-12
-        assert np.abs(num.value_of(protos.mass) - mass_ref).max() <= 1e-12
+        assert np.abs(num.value_of(num.cosine_similarity_matrix(v, t)) - raw_ref).max() <= 1e-12
+        assert np.abs(num.value_of(a) - norm_ref).max() <= 1e-12
+        assert np.abs(num.value_of(estimate_prototypes(a, v)) - p_ref).max() <= 1e-12
+        assert np.abs(num.value_of(a).sum(axis=0) - mass_ref).max() <= 1e-12
 
 
 @st.composite
@@ -131,7 +130,7 @@ class TestProperties:
     @given(_feature_instances())
     def test_rows_stochastic(self, vt):
         v, t = vt
-        norm = num.value_of(association_map(v, t).norm)
+        norm = num.value_of(association_map(v, t))
         assert np.abs(norm.sum(axis=1) - 1.0).max() <= 1e-9
         assert norm.min() > 0.0 and norm.max() < 1.0 + 1e-15
 
@@ -139,16 +138,16 @@ class TestProperties:
     @given(_feature_instances())
     def test_convex_hull_weights(self, vt):
         v, t = vt
-        assoc = association_map(v, t)
-        protos = estimate_prototypes(assoc, v)
-        norm = num.value_of(assoc.norm)
-        mass = num.value_of(protos.mass)
+        a = association_map(v, t)
+        norm = num.value_of(a)
+        mass = norm.sum(axis=0)
         assert mass.min() > 0.0
         weights = norm / mass  # column j / mass_j
         assert weights.min() >= 0.0
         assert np.abs(weights.sum(axis=0) - 1.0).max() <= 1e-9
+        p = num.value_of(estimate_prototypes(a, v))
+        assert np.abs(p - weights.T @ v).max() <= 1e-9
         # prototypes inside the bounding box of the batch (hull necessary cond.)
-        p = num.value_of(protos.p)
         assert np.all(p <= v.max(axis=0) + 1e-9)
         assert np.all(p >= v.min(axis=0) - 1e-9)
 
@@ -156,8 +155,8 @@ class TestProperties:
     @given(_feature_instances(), st.sampled_from([1e-3, 0.5, 7.0, 1e3]))
     def test_argmax_scale_invariance(self, vt, c):
         v, t = vt
-        base = num.value_of(association_map(v, t).norm).argmax(axis=1)
-        scaled = num.value_of(association_map(c * v, t).norm).argmax(axis=1)
+        base = num.value_of(association_map(v, t)).argmax(axis=1)
+        scaled = num.value_of(association_map(c * v, t)).argmax(axis=1)
         assert np.array_equal(base, scaled)
 
 
@@ -166,9 +165,7 @@ def test_gradient_flows_through_prototypes():
     t = rng.normal(size=(3, 4))
 
     def objective(v):
-        assoc = association_map(v, t)
-        protos = estimate_prototypes(assoc, v)
-        return num.squared_norm(protos.p)
+        return num.squared_norm(estimate_prototypes(association_map(v, t), v))
 
     v0 = rng.normal(size=(5, 4))
     res = num.value_and_gradient(objective, v0)

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import pathlib
+import re
 import struct
 import tempfile
 
@@ -336,6 +337,34 @@ def test_load_header_fuzz_fails_only_with_a_byte_offset(data):
     assert ds.count == count and ds.image_shape == (c, h, w) and ds.num_classes == m
 
 
+def _damaged_small_datasets():
+    blob = _small_dataset_bytes()
+    for n in range(len(blob)):
+        yield f"cut at byte {n}", blob[:n]
+    for bit in range(8 * len(blob)):
+        flipped = bytearray(blob)
+        flipped[bit // 8] ^= 1 << (bit % 8)
+        yield f"bit {bit} flipped", bytes(flipped)
+
+
+def test_load_every_truncation_and_bit_flip_fails_with_a_byte_offset(tmp_path):
+    p = tmp_path / "damaged.ssamds"
+    loaded = 0
+    for what, blob in _damaged_small_datasets():
+        p.write_bytes(blob)
+        try:
+            ds = syn.load_dataset(p)
+        except FormatError as exc:
+            assert re.search(r"\bbyte \d+", str(exc)), (what, str(exc))
+            continue
+        loaded += 1
+        _, _, count, c, h, w, m = struct.unpack_from("<8sIIIIII", blob)
+        assert (ds.count, ds.image_shape, ds.num_classes) == (count, (c, h, w), m), what
+    # the valid damaged files: 31 class counts (all but 2 -> 0), any pixel
+    # (one flip leaves a zero float32 finite), labels 1 -> 0 and 0 -> 1
+    assert loaded == 31 + 64 + 2
+
+
 def test_dataset_constructor_guards():
     imgs = np.zeros((2, 3, 4, 4), dtype="<f4")
     with pytest.raises(ConfigError, match="out of range"):
@@ -388,7 +417,7 @@ def test_heatmap_rows_are_class_ordered_and_stochastic():
     t = embed_categories(3, 8, seed=2)
     feats = np.vstack([t, t[0]])  # one image per class plus an extra class-0 image
     labels = np.array([0, 1, 2, 0])
-    assoc = num.value_of(association_map(feats, t).norm)
+    assoc = num.value_of(association_map(feats, t))
     grid = reports.class_average_heatmap(assoc, labels, 3)
     assert grid.shape == (3, 3)
     np.testing.assert_allclose(grid.sum(axis=1), 1.0, atol=1e-9)

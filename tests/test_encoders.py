@@ -46,27 +46,33 @@ def _load_golden(name):
 
 
 class TestPatchLayout:
+    """At insertion_layer 0 the prefix is the patch embedding p_1..p_N."""
+
     def test_top_left_block_first(self):
-        img = np.arange(16, dtype=np.float64).reshape(1, 4, 4)
+        img = np.arange(16, dtype=np.float64).reshape(1, 1, 4, 4)
         enc = ToyViTEncoder(image_shape=(1, 4, 4), patch_grid=(2, 2), dim=4)
-        blocks = enc.extract_patch_blocks(img)
-        assert blocks.shape == (4, 4)
-        assert np.array_equal(blocks[0], [0.0, 1.0, 4.0, 5.0])
-        assert np.array_equal(blocks[1], [2.0, 3.0, 6.0, 7.0])  # row-major order
-        assert np.array_equal(blocks[3], [10.0, 11.0, 14.0, 15.0])
+        blocks = np.array(  # row-major over the grid
+            [[0, 1, 4, 5], [2, 3, 6, 7], [8, 9, 12, 13], [10, 11, 14, 15]], dtype=np.float64
+        )
+        p = enc.prefix(img)
+        assert p.shape == (1, 4, 4)
+        np.testing.assert_allclose(p[0], blocks @ enc.w_embed, rtol=0, atol=1e-12)
 
     def test_constant_image_gives_identical_embeddings(self):
         enc = ToyViTEncoder(image_shape=(3, 8, 8), patch_grid=(4, 4))
-        p = enc.patchify(np.full((3, 8, 8), 0.7))
+        p = enc.prefix(np.full((1, 3, 8, 8), 0.7))[0]
         assert p.shape == (16, 16)
         assert np.allclose(p, p[0], atol=1e-12)
 
-    def test_patchify_is_blocks_times_embedding(self):
+    def test_prefix_at_layer_0_is_blocks_times_embedding(self):
         enc = ToyViTEncoder(image_shape=(3, 8, 8), patch_grid=(2, 2))
-        img = np.random.default_rng(3).normal(size=(3, 8, 8))
-        assert np.allclose(
-            enc.patchify(img), enc.extract_patch_blocks(img) @ enc.w_embed
-        )
+        imgs = np.random.default_rng(3).normal(size=(2, 3, 8, 8))
+        # patch (r, c) of image b is imgs[b, :, 4r:4r+4, 4c:4c+4], flattened
+        blocks = [
+            [imgs[b, :, 4 * r : 4 * r + 4, 4 * c : 4 * c + 4].ravel() for r in (0, 1) for c in (0, 1)]
+            for b in (0, 1)
+        ]
+        assert np.allclose(enc.prefix(imgs), np.array(blocks) @ enc.w_embed)
 
     def test_indivisible_grid_rejected(self):
         with pytest.raises(ConfigError):
@@ -75,9 +81,10 @@ class TestPatchLayout:
     def test_golden_patch_embeddings(self):
         g = _load_golden("encoders_golden.json")
         enc = ToyViTEncoder(seed=0)
+        assert enc.insertion_layer == 0
         img = np.array(g["image"])
         np.testing.assert_allclose(
-            enc.patchify(img), g["vit_patch_embeddings"], rtol=0, atol=1e-10
+            enc.prefix(img[None])[0], g["vit_patch_embeddings"], rtol=0, atol=1e-10
         )
 
 

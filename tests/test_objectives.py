@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import ssam.numerics as num
-from ssam.association import AssociationMap, association_map, estimate_prototypes
+from ssam.association import association_map, estimate_prototypes
 from ssam.encoders import ToyConvEncoder, ToyViTEncoder, embed_categories
 from ssam.errors import ConfigError, DimensionError
 from ssam.objectives import (
@@ -40,49 +40,32 @@ def _softmax_rows(m):
 
 class TestReconstruct:
     def test_saturated_row_selects_prototype(self):
-        norm = _softmax_rows(30.0 * np.eye(2))
-        assoc = AssociationMap(raw=None, norm=norm)
+        a = _softmax_rows(30.0 * np.eye(2))
         p = np.random.default_rng(0).normal(size=(2, 5))
-        protos = estimate_prototypes(assoc, np.random.default_rng(1).normal(size=(2, 5)))
-        protos.p = p
-        v_hat = num.value_of(reconstruct(assoc, protos))
+        v_hat = num.value_of(reconstruct(a, p))
         assert np.allclose(v_hat, p, atol=1e-10)
 
     def test_uniform_row_gives_prototype_mean(self):
-        assoc = AssociationMap(raw=None, norm=np.full((1, 3), 1.0 / 3.0))
         p = np.arange(6.0).reshape(3, 2)
-        from ssam.association import Prototypes
-
-        v_hat = num.value_of(reconstruct(assoc, Prototypes(p=p, mass=None)))
+        v_hat = num.value_of(reconstruct(np.full((1, 3), 1.0 / 3.0), p))
         assert np.allclose(v_hat[0], p.mean(axis=0), atol=1e-12)
 
     def test_equal_prototypes_dominate(self):
-        from ssam.association import Prototypes
-
         rows = _softmax_rows(np.random.default_rng(2).normal(size=(4, 3)))
         p_star = np.array([1.5, -2.0])
         p = np.tile(p_star, (3, 1))
-        v_hat = num.value_of(
-            reconstruct(AssociationMap(raw=None, norm=rows), Prototypes(p=p, mass=None))
-        )
+        v_hat = num.value_of(reconstruct(rows, p))
         assert np.allclose(v_hat, np.tile(p_star, (4, 1)), atol=1e-12)
 
     def test_shape_mismatch(self):
-        from ssam.association import Prototypes
-
-        assoc = AssociationMap(raw=None, norm=np.full((2, 3), 1.0 / 3.0))
         with pytest.raises(DimensionError):
-            reconstruct(assoc, Prototypes(p=np.zeros((2, 4)), mass=None))
+            reconstruct(np.full((2, 3), 1.0 / 3.0), np.zeros((2, 4)))
 
     def test_matches_naive_loops(self):
         rng = np.random.default_rng(9)
         norm = _softmax_rows(rng.normal(size=(4, 3)))
         p = rng.normal(size=(3, 5))
-        from ssam.association import Prototypes
-
-        mine = num.value_of(
-            reconstruct(AssociationMap(raw=None, norm=norm), Prototypes(p=p, mass=None))
-        )
+        mine = num.value_of(reconstruct(norm, p))
         assert np.abs(mine - naive_reconstruction(norm, p)).max() <= 1e-12
 
 
@@ -138,24 +121,20 @@ class TestLossCa:
 
 class TestLossEntropy:
     def test_one_hot_rows(self):
-        assoc = AssociationMap(raw=None, norm=np.eye(3))
-        assert float(num.value_of(loss_entropy(assoc))) == 0.0
+        assert float(num.value_of(loss_entropy(np.eye(3)))) == 0.0
 
     def test_uniform_rows(self):
-        assoc = AssociationMap(raw=None, norm=np.full((2, 4), 0.25))
-        out = float(num.value_of(loss_entropy(assoc)))
+        out = float(num.value_of(loss_entropy(np.full((2, 4), 0.25))))
         assert out == pytest.approx(math.log(4.0), abs=1e-12)
 
     def test_hand_value_75_25(self):
-        assoc = AssociationMap(raw=None, norm=np.array([[0.75, 0.25]]))
-        out = float(num.value_of(loss_entropy(assoc)))
+        out = float(num.value_of(loss_entropy(np.array([[0.75, 0.25]]))))
         assert out == pytest.approx(ENT_75_25, abs=1e-12)
         assert out == pytest.approx(0.56234, abs=1e-5)
 
     def test_matches_naive(self):
         norm = _softmax_rows(np.random.default_rng(7).normal(size=(5, 3)))
-        assoc = AssociationMap(raw=None, norm=norm)
-        mine = float(num.value_of(loss_entropy(assoc)))
+        mine = float(num.value_of(loss_entropy(norm)))
         assert mine == pytest.approx(naive_loss_entropy(norm), abs=1e-12)
 
 
@@ -163,15 +142,15 @@ class TestTotalObjective:
     def test_zero_weights_give_entropy_exactly(self):
         rng = np.random.default_rng(8)
         v, t = rng.normal(size=(4, 6)), rng.normal(size=(3, 6))
-        bd = total_objective(v, t, alpha=0.0, beta=0.0)
+        total, bd = total_objective(v, t, alpha=0.0, beta=0.0)
         assert bd.total == bd.l_ent  # bit-identical, terms skipped not zeroed
-        assoc = association_map(v, t)
-        assert bd.total == float(num.value_of(loss_entropy(assoc)))
+        assert bd.total == float(num.value_of(loss_entropy(association_map(v, t))))
+        assert float(num.value_of(total)) == bd.total
 
     def test_weighted_identity(self):
         rng = np.random.default_rng(9)
         v, t = rng.normal(size=(5, 4)), rng.normal(size=(3, 4))
-        bd = total_objective(v, t, alpha=0.7, beta=1.3)
+        _, bd = total_objective(v, t, alpha=0.7, beta=1.3)
         assert bd.total == pytest.approx(
             bd.l_ent + 0.7 * bd.l_pir + 1.3 * bd.l_ca, abs=1e-12
         )
@@ -179,13 +158,13 @@ class TestTotalObjective:
     def test_doubling_alpha_adds_l_pir(self):
         rng = np.random.default_rng(10)
         v, t = rng.normal(size=(4, 4)), rng.normal(size=(4, 4))
-        one = total_objective(v, t, alpha=1.0, beta=1.0)
-        two = total_objective(v, t, alpha=2.0, beta=1.0)
+        _, one = total_objective(v, t, alpha=1.0, beta=1.0)
+        _, two = total_objective(v, t, alpha=2.0, beta=1.0)
         assert two.total - one.total == pytest.approx(one.l_pir, abs=1e-12)
 
     def test_hand_composed_identity_instance(self):
         eye = np.eye(2)
-        bd = total_objective(eye, eye, alpha=1.0, beta=1.0)
+        _, bd = total_objective(eye, eye, alpha=1.0, beta=1.0)
         raw_ref, norm_ref = naive_association(eye, eye)
         p_ref, _ = naive_prototypes(norm_ref, eye)
         vhat_ref = naive_reconstruction(norm_ref, p_ref)
@@ -210,7 +189,7 @@ class TestTotalObjective:
         d = m + 2
         v = rng.normal(size=(b, d))
         t = rng.normal(size=(m, d))
-        bd = total_objective(v, t)
+        _, bd = total_objective(v, t)
         assert 0.0 <= bd.l_ent <= math.log(m) + 1e-9
         assert bd.l_pir >= 0.0
         assert bd.l_ca >= 0.0
@@ -219,15 +198,11 @@ class TestTotalObjective:
         emb = embed_categories(4, 8, seed=0)
         v = emb.copy()
         norm = _softmax_rows(30.0 * np.eye(4))
-        assoc = AssociationMap(raw=None, norm=norm)
-        protos = estimate_prototypes(assoc, v)
-        v_hat = reconstruct(assoc, protos)
+        v_hat = reconstruct(norm, estimate_prototypes(norm, v))
         assert float(num.value_of(loss_pir(v_hat, v))) < 1e-10
         assert np.array_equal(norm.argmax(axis=1), np.arange(4))
 
     def test_one_hot_row_minimizer_is_nearest_prototype(self):
-        from ssam.association import Prototypes
-
         rng = np.random.default_rng(11)
         for m in (2, 4, 8):
             p = rng.normal(size=(m, 5))
@@ -236,8 +211,7 @@ class TestTotalObjective:
             for k in range(m):
                 row = np.zeros((1, m))
                 row[0, k] = 1.0
-                assoc = AssociationMap(raw=None, norm=row)
-                v_hat = reconstruct(assoc, Prototypes(p=p, mass=None))
+                v_hat = reconstruct(row, p)
                 losses.append(float(num.value_of(loss_pir(v_hat, v_i))))
             nearest = int(np.linalg.norm(p - v_i, axis=1).argmin())
             assert int(np.argmin(losses)) == nearest
@@ -246,15 +220,15 @@ class TestTotalObjective:
 def _component_closure(kind, enc, imgs, t):
     def f(tokens):
         v = enc.encode_batch(imgs, tokens)
-        assoc = association_map(v, t)
+        a = association_map(v, t)
         if kind == "ent":
-            return loss_entropy(assoc)
-        protos = estimate_prototypes(assoc, v)
+            return loss_entropy(a)
+        p = estimate_prototypes(a, v)
         if kind == "ca":
-            return loss_ca(protos.p, t)
+            return loss_ca(p, t)
         if kind == "pir":
-            return loss_pir(reconstruct(assoc, protos), v)
-        return total_objective(v, t).total_node
+            return loss_pir(reconstruct(a, p), v)
+        return total_objective(v, t)[0]
 
     return f
 

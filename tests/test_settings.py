@@ -26,7 +26,7 @@ def test_settings_are_pinned():
             "optimizer",
             "seed",
         ],
-        LossBreakdown: ["l_ent", "l_pir", "l_ca", "total", "total_node"],
+        LossBreakdown: ["l_ent", "l_pir", "l_ca", "total"],
         AdaptReport: [
             "history",
             "pre_accuracy",
