@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 
 from ..adaptation import MODES, AdaptConfig
@@ -174,7 +175,34 @@ def _cmd_gradcheck(args) -> int:
     return 0 if report.passed else 3
 
 
+def _pin_heap_thresholds() -> None:
+    """Fix glibc's mmap threshold at 32 MiB and its trim threshold at
+    64 MiB, the ceilings its dynamic rule reaches by itself; setting them
+    also turns that rule off.
+
+    Left dynamic, the thresholds depend on which large blocks the process
+    happened to free earlier. While no freed block has raised them, glibc
+    trims the heap top after each adaptation step and faults it back in
+    on the next one. Other C libraries are left alone.
+    """
+    name = "CS_GNU_LIBC_VERSION"
+    try:
+        libc = os.confstr(name) if name in os.confstr_names else None
+    except OSError:  # a known name this system does not answer
+        libc = None
+    if not (libc or "").startswith("glibc"):
+        return
+    import ctypes  # here, so the CLI's import time does not pay for it
+
+    mallopt = ctypes.CDLL(None).mallopt
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+    mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
+
+
 def main(argv=None) -> int:
+    _pin_heap_thresholds()
     try:
         args = _build_parser().parse_args(argv)
         if (getattr(args, "seed", None) or 0) < 0:  # numpy's generators take seeds >= 0

@@ -37,24 +37,44 @@ from .errors import ConfigError, DegenerateInputError, DimensionError, NumericEr
 # batched graph ops (images are constants; only adapter tokens carry grad)
 
 
+# bytes of the one im2col column buffer a _conv3x3 call may hold; a
+# single output row that needs more still runs, as one row per block
+_COLS_BYTES = 4 << 20
+
+
 def _conv3x3(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     """3x3 same-padding conv on batch-last plain arrays, (C, H, W, B) x
-    (D, C, 3, 3) -> (D, H, W, B), as one im2col GEMM.
+    (D, C, 3, 3) -> (D, H, W, B), as im2col GEMMs over blocks of whole
+    output rows.
 
     The column array keeps the kernel's (c, ky, kx) row order; each of its
     nine taps is a slice of the padded input whose innermost runs are
-    W*B contiguous floats. This path sits inside finite-difference loops,
-    so per-call overhead matters more than memory.
+    W*B contiguous floats. The column buffer is held to ``_COLS_BYTES``:
+    H is cut into ceil(H / rows_max) blocks of near-equal height, and
+    each block's GEMM writes straight into its rows of the output. Every
+    output entry is the same dot product whatever the blocking. BLAS may
+    still round an entry differently when the blocking moves it into its
+    edge kernel for leftover columns; with OpenBLAS the result matches a
+    one-block run bit for bit when W*B is a multiple of 8. A small conv,
+    such as every one inside the finite-difference loops, is one block.
     """
     cin, h, wd, bsz = x.shape
-    dout = w.shape[0]
+    dout, k, row = w.shape[0], cin * 9, wd * bsz
     pad = np.zeros((cin, h + 2, wd + 2, bsz))
     pad[:, 1:-1, 1:-1] = x
-    cols = np.empty((cin, 3, 3, h, wd, bsz))
-    for ky in range(3):
-        for kx in range(3):
-            cols[:, ky, kx] = pad[:, ky : ky + h, kx : kx + wd]
-    out = w.reshape(dout, cin * 9) @ cols.reshape(cin * 9, h * wd * bsz)
+    nblocks = -(-h // max(1, _COLS_BYTES // (k * row * 8)))
+    buf = np.empty(k * -(-h // nblocks) * row)
+    wm = w.reshape(dout, k)
+    out = np.empty((dout, h * row))
+    a = 0
+    for i in range(1, nblocks + 1):
+        b = i * h // nblocks
+        cols = buf[: k * (b - a) * row].reshape(cin, 3, 3, b - a, wd, bsz)
+        for ky in range(3):
+            for kx in range(3):
+                cols[:, ky, kx] = pad[:, a + ky : b + ky, kx : kx + wd]
+        np.matmul(wm, cols.reshape(k, (b - a) * row), out=out[:, a * row : b * row])
+        a = b
     return out.reshape(dout, h, wd, bsz)
 
 

@@ -457,16 +457,95 @@ def test_help_exits_zero():
     assert exc.value.code == 0
 
 
-def test_module_entry_point_runs():
+def _child_env():
     # the child must import the package under test, which need not be
     # installed: pytest may have put src/ on the path itself
     src = str(pathlib.Path(ssam.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return dict(os.environ, PYTHONPATH=path)
+
+
+def test_module_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "ssam.bench.cli", "--help"],
         capture_output=True,
         text=True,
-        env=dict(os.environ, PYTHONPATH=path),
+        env=_child_env(),
     )
     assert proc.returncode == 0
     assert "gen-data" in proc.stdout
+
+
+@pytest.fixture(scope="module")
+def default_data(tmp_path_factory):
+    out = tmp_path_factory.mktemp("default") / "data.ssamds"
+    assert main(["gen-data", "--out", str(out)]) == 0
+    return out
+
+
+_UNPINNED = (
+    "import sys; from ssam.bench import cli; "
+    "cli._pin_heap_thresholds = lambda: None; sys.exit(cli.main(sys.argv[1:]))"
+)
+
+
+@pytest.mark.parametrize("family", ["conv", "vit"])
+def test_heap_pin_leaves_reports_byte_identical(tmp_path, default_data, family):
+    # fresh processes on the default dataset, whose batches are large
+    # enough for the allocator thresholds to decide where temporaries live
+    reports = {}
+    for name, entry in (("pinned", ["-m", "ssam.bench.cli"]), ("unpinned", ["-c", _UNPINNED])):
+        argv = ["adapt", "--encoder", family, "--steps", "2", "--per-image",
+                "--data", str(default_data), "--report", str(tmp_path / name)]
+        proc = subprocess.run(
+            [sys.executable, *entry, *argv], capture_output=True, text=True, env=_child_env()
+        )
+        assert proc.returncode == 0, proc.stderr
+        reports[name] = {p.name: p.read_bytes() for p in (tmp_path / name).iterdir()}
+    assert set(EXPECTED_REPORT_FILES) <= set(reports["pinned"])
+    assert reports["pinned"] == reports["unpinned"]
+
+
+def _fake_libc(monkeypatch, names, answer):
+    def confstr(name):
+        if isinstance(answer, Exception):
+            raise answer
+        return answer
+
+    monkeypatch.setattr(os, "confstr_names", names)
+    monkeypatch.setattr(os, "confstr", confstr)
+
+
+@pytest.mark.parametrize(
+    "names,answer",
+    [
+        ({}, "glibc 2.36"),  # macOS has no such name
+        ({"CS_GNU_LIBC_VERSION": 2}, None),
+        ({"CS_GNU_LIBC_VERSION": 2}, OSError(22, "Invalid argument")),
+        ({"CS_GNU_LIBC_VERSION": 2}, "musl 1.2.5"),
+    ],
+)
+def test_heap_pin_leaves_other_libcs_alone(monkeypatch, names, answer):
+    import ctypes
+
+    def no_cdll(*args, **kwargs):
+        raise AssertionError("ctypes.CDLL called off glibc")
+
+    _fake_libc(monkeypatch, names, answer)
+    monkeypatch.setattr(ctypes, "CDLL", no_cdll)
+    cli._pin_heap_thresholds()
+
+
+def test_heap_pin_sets_mmap_then_trim_threshold_on_glibc(monkeypatch):
+    import ctypes
+
+    calls = []
+
+    class FakeLibc:
+        def __init__(self, name):
+            self.mallopt = lambda param, value: calls.append((param, value)) or 1
+
+    _fake_libc(monkeypatch, {"CS_GNU_LIBC_VERSION": 2}, "glibc 2.36")
+    monkeypatch.setattr(ctypes, "CDLL", FakeLibc)
+    cli._pin_heap_thresholds()
+    assert calls == [(-3, 32 << 20), (-1, 64 << 20)]  # M_MMAP_THRESHOLD, M_TRIM_THRESHOLD

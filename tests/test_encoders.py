@@ -3,6 +3,7 @@
 import json
 import pathlib
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -320,6 +321,59 @@ def test_conv_encode_batch_matches_naive_loops():
     got = num.value_of(enc.encode_batch(imgs, tokens))
     assert got.shape == (3, 5)
     assert rel_err(got, want) <= 1e-12
+
+
+@pytest.mark.parametrize("rows", [0, 1, 2])
+def test_conv3x3_row_blocks_match_one_block(monkeypatch, rows):
+    # a column budget of `rows` forward rows: below one row, one row
+    # (5 blocks of 1) and two rows (blocks of 1, 2, 2). The VJP's rows are
+    # twice as wide (cin 6), so it runs one row per block in every case.
+    # W*B = 8 keeps each block's columns off OpenBLAS's edge kernel.
+    rng = np.random.default_rng(21)
+    x = rng.normal(size=(2, 3, 5, 4))  # (B, C, H, W)
+    w = rng.normal(size=(6, 3, 3, 3))
+    g_bl = rng.normal(size=(6, 5, 4, 2))
+    x_bl = x.transpose(1, 2, 3, 0)
+
+    def forward_and_vjp():
+        out = encoders._conv3x3_same(num.leaf(x_bl), w)
+        ((_, vjp),) = out._edges
+        return num.value_of(out), vjp(g_bl)
+
+    y1, gx1 = forward_and_vjp()
+    monkeypatch.setattr(encoders, "_COLS_BYTES", rows * 3 * 9 * 4 * 2 * 8)
+    y, gx = forward_and_vjp()
+    assert np.array_equal(y, y1) and np.array_equal(gx, gx1)
+    assert rel_err(y.transpose(3, 0, 1, 2), naive_conv3x3_same(x, w)) <= 1e-12
+    want = naive_conv3x3_same_vjp(g_bl.transpose(3, 0, 1, 2), w, x.shape)
+    assert rel_err(gx.transpose(3, 0, 1, 2), want) <= 1e-12
+
+
+def test_conv3x3_temporaries_stay_within_the_column_budget():
+    # (16, 8, 8, 160) is a hidden conv of a 160-image pass: its whole
+    # im2col matrix is 11.25 MiB, so one un-blocked buffer breaks the bound
+    x = np.random.default_rng(2).normal(size=(16, 8, 8, 160))
+    w = np.random.default_rng(3).normal(size=(16, 16, 3, 3))
+    pad_bytes = 16 * 10 * 10 * 160 * 8
+    out_bytes = 16 * 8 * 8 * 160 * 8
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        encoders._conv3x3(x, w)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= pad_bytes + out_bytes + encoders._COLS_BYTES
+
+
+@pytest.mark.parametrize("family", ["vit", "conv"])
+def test_encode_batch_of_six_is_its_two_halves_stacked(family):
+    enc = ToyViTEncoder() if family == "vit" else ToyConvEncoder()
+    rng = np.random.default_rng(6)
+    imgs = rng.normal(size=(6,) + enc.image_shape)
+    tokens = rng.normal(0.0, 0.2, enc.adapter_shape)
+    halves = [num.value_of(enc.encode_batch(imgs[i : i + 3], tokens)) for i in (0, 3)]
+    assert np.array_equal(num.value_of(enc.encode_batch(imgs, tokens)), np.concatenate(halves))
 
 
 def _split_cells():
