@@ -19,6 +19,7 @@ import numpy as np
 from .. import numerics as num
 from ..adaptation import AdaptConfig, run_stream
 from ..association import association_map
+from ..encoders import usable_cores
 from ..errors import ConfigError
 
 THREADS_ENV = "SSAM_THREADS"
@@ -217,7 +218,7 @@ def _thread_count() -> int:
     except ValueError:
         raise ConfigError(f"{THREADS_ENV} must be an integer, got {raw!r}") from None
     if n <= 0:
-        n = os.cpu_count() or 1
+        n = usable_cores()
     return n
 
 

@@ -11,7 +11,12 @@ patch of the first feature map, so an s x s neighbourhood shares one
 token. The conv stack runs batch-last: its feature maps are
 (C, H, W, B), the layout in which each im2col tap is a copy of
 contiguous W*B runs and each conv's GEMM output is already the next
-layer's input.
+layer's input. Each conv cuts its output rows into blocks whose im2col
+columns fit a fixed budget. When BLAS runs one thread per GEMM, the
+blocks are cut for two threads, and a conv of several blocks on the
+main thread of a process with a second core shares them with one lazily
+started helper thread, so a serial ``ssam adapt`` runs its large convs
+on two cores.
 
 Weights are drawn from a seeded generator at construction, marked
 read-only, and never change afterwards; adaptation only ever touches the
@@ -26,6 +31,9 @@ take image batches only, (B, C, H, W).
 from __future__ import annotations
 
 import hashlib
+import itertools
+import os
+import threading
 
 import numpy as np
 
@@ -37,9 +45,90 @@ from .errors import ConfigError, DegenerateInputError, DimensionError, NumericEr
 # batched graph ops (images are constants; only adapter tokens carry grad)
 
 
-# bytes of the one im2col column buffer a _conv3x3 call may hold; a
-# single output row that needs more still runs, as one row per block
+# bytes of im2col columns a _conv3x3 call may hold, across both threads;
+# a single output row that needs more still runs, as one row per block
 _COLS_BYTES = 4 << 20
+
+
+def usable_cores() -> int:
+    """The cores this process may run on (its affinity mask where the
+    platform has one, else the CPU count)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _blas_threads_at_load():
+    """The GEMM thread count OpenBLAS took when numpy loaded it: the first
+    positive one of the variables it reads, or None for one per core."""
+    for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+        value = os.environ.get(name, "").strip()
+        if value.isdigit() and int(value) > 0:
+            return int(value)
+    return None
+
+
+# the threads a conv's row blocks are cut for: two beside one-thread GEMMs,
+# which leave a core idle; one beside OpenBLAS's default of a thread per
+# core, whose GEMMs use every core already (a helper there made
+# `ssam adapt` slower, and halved blocks made streams slower). numpy,
+# imported above, has loaded OpenBLAS, which reads its variables only once.
+_BLOCK_THREADS = 2 if _blas_threads_at_load() == 1 else 1
+
+
+class _Helper:
+    """One daemon thread that shares the row blocks of the main thread's
+    large convs. ``share(job, mine, theirs)`` runs ``job(theirs)`` on the
+    helper and ``job(mine)`` on the caller, and returns once both are done;
+    an exception on the helper re-raises in the caller."""
+
+    def __init__(self):
+        self.go, self.done = threading.Semaphore(0), threading.Semaphore(0)
+        self.job = self.error = None
+        self.pending = False
+        threading.Thread(target=self._loop, name="ssam-conv", daemon=True).start()
+
+    def _loop(self):
+        while True:
+            self.go.acquire()
+            try:
+                self.job()
+            except BaseException as exc:  # re-raised in the caller
+                self.error = exc
+            self.job = None
+            self.done.release()
+
+    def share(self, job, mine, theirs):
+        if self.pending:  # the last wait was interrupted: take its release first
+            self.done.acquire()
+        self.job, self.error, self.pending = (lambda: job(theirs)), None, True
+        self.go.release()
+        try:
+            job(mine)
+        finally:
+            self.done.acquire()
+            self.pending = False
+        err, self.error = self.error, None
+        if err is not None:
+            raise err
+
+
+_HELPER = None
+
+
+def _helper() -> _Helper:
+    global _HELPER
+    if _HELPER is None:
+        _HELPER = _Helper()
+    return _HELPER
+
+
+def _drop_helper():
+    global _HELPER
+    _HELPER = None  # its thread did not survive the fork
+
+
+os.register_at_fork(after_in_child=_drop_helper)
 
 
 def _conv3x3(x: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -49,32 +138,56 @@ def _conv3x3(x: np.ndarray, w: np.ndarray) -> np.ndarray:
 
     The column array keeps the kernel's (c, ky, kx) row order; each of its
     nine taps is a slice of the padded input whose innermost runs are
-    W*B contiguous floats. The column buffer is held to ``_COLS_BYTES``:
-    H is cut into ceil(H / rows_max) blocks of near-equal height, and
-    each block's GEMM writes straight into its rows of the output. Every
-    output entry is the same dot product whatever the blocking. BLAS may
-    still round an entry differently when the blocking moves it into its
-    edge kernel for leftover columns; with OpenBLAS the result matches a
+    W*B contiguous floats. With t = ``_BLOCK_THREADS`` (2 when BLAS runs
+    one thread per GEMM, else 1), H is cut into the fewest near-equal
+    blocks whose columns fit ``_COLS_BYTES // t``, rounded up to a
+    multiple of t (at most H) when there is more than one, and each
+    block's GEMM writes straight into its rows of the output. So the
+    partition depends on the shapes, the budget and the BLAS thread
+    setting, never on the core count or the calling thread. Every output
+    entry is the same dot product whatever the blocking. BLAS may still
+    round an entry differently when the blocking moves it into its edge
+    kernel for leftover columns; with OpenBLAS the result matches a
     one-block run bit for bit when W*B is a multiple of 8. A small conv,
     such as every one inside the finite-difference loops, is one block.
+
+    A conv of more than one block, cut for two threads and called on the
+    main thread of a process with two usable cores or more, shares its
+    blocks with the helper thread: each thread claims the next block from
+    one counter and fills its own column buffer. The blocks and their
+    GEMMs are the same either way, so the output does not depend on which
+    thread ran a block. Other threads (the ablation pool's) run every
+    block inline.
     """
     cin, h, wd, bsz = x.shape
     dout, k, row = w.shape[0], cin * 9, wd * bsz
     pad = np.zeros((cin, h + 2, wd + 2, bsz))
     pad[:, 1:-1, 1:-1] = x
-    nblocks = -(-h // max(1, _COLS_BYTES // (k * row * 8)))
-    buf = np.empty(k * -(-h // nblocks) * row)
+    t = _BLOCK_THREADS
+    nblocks = -(-h // max(1, _COLS_BYTES // t // (k * row * 8)))
+    if nblocks > 1:
+        nblocks = min(h, -(-nblocks // t) * t)
+    size = k * -(-h // nblocks) * row
     wm = w.reshape(dout, k)
     out = np.empty((dout, h * row))
-    a = 0
-    for i in range(1, nblocks + 1):
-        b = i * h // nblocks
-        cols = buf[: k * (b - a) * row].reshape(cin, 3, 3, b - a, wd, bsz)
-        for ky in range(3):
-            for kx in range(3):
-                cols[:, ky, kx] = pad[:, a + ky : b + ky, kx : kx + wd]
-        np.matmul(wm, cols.reshape(k, (b - a) * row), out=out[:, a * row : b * row])
-        a = b
+    claim = itertools.count()
+
+    def job(buf):
+        for i in claim:
+            if i >= nblocks:
+                return
+            a, b = i * h // nblocks, (i + 1) * h // nblocks
+            cols = buf[: k * (b - a) * row].reshape(cin, 3, 3, b - a, wd, bsz)
+            for ky in range(3):
+                for kx in range(3):
+                    cols[:, ky, kx] = pad[:, a + ky : b + ky, kx : kx + wd]
+            np.matmul(wm, cols.reshape(k, (b - a) * row), out=out[:, a * row : b * row])
+
+    shared = nblocks > 1 and t > 1 and threading.current_thread() is threading.main_thread()
+    if shared and usable_cores() > 1:
+        _helper().share(job, np.empty(size), np.empty(size))
+    else:
+        job(np.empty(size))
     return out.reshape(dout, h, wd, bsz)
 
 

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import os
 import pathlib
 import re
 import struct
@@ -519,6 +520,17 @@ def test_run_ablation_is_thread_count_invariant(monkeypatch):
         monkeypatch.setenv(reports.THREADS_ENV, threads)
         rows.append(reports.run_ablation(enc, ds, emb, base, grid_alpha=[1.0], grid_beta=[1.0], seeds=1))
     assert rows[0] == rows[1]
+
+
+def test_pool_default_is_the_usable_core_count(monkeypatch):
+    # an affinity mask narrower than the machine sizes the pool, not the
+    # CPU count; without sched_getaffinity the CPU count is the fallback
+    monkeypatch.delenv(reports.THREADS_ENV, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert reports._thread_count() == 1
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert reports._thread_count() == 8
 
 
 def test_run_ablation_validation():

@@ -1,8 +1,14 @@
 """Tests for the frozen toy encoders, adapters, and category embeddings."""
 
 import json
+import os
 import pathlib
+import signal
+import subprocess
+import sys
 import tempfile
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -364,6 +370,276 @@ def test_conv3x3_temporaries_stay_within_the_column_budget():
     finally:
         tracemalloc.stop()
     assert peak <= pad_bytes + out_bytes + encoders._COLS_BYTES
+
+
+def test_blas_thread_count_is_read_as_openblas_reads_it(monkeypatch):
+    for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+        monkeypatch.delenv(name, raising=False)
+    assert encoders._blas_threads_at_load() is None  # OpenBLAS: one per core
+    monkeypatch.setenv("OMP_NUM_THREADS", "3")
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "0")  # not positive: skipped
+    assert encoders._blas_threads_at_load() == 3
+    monkeypatch.setenv("GOTO_NUM_THREADS", "x")
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", " 1 ")
+    assert encoders._blas_threads_at_load() == 1
+
+
+class _NumpyWithMatmul:
+    """numpy with ``matmul`` replaced, to steer the conv's two threads."""
+
+    def __init__(self, matmul):
+        self.matmul = matmul
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+
+def _on_main():
+    return threading.current_thread() is threading.main_thread()
+
+
+def _force_helper(monkeypatch, on):
+    # blocks cut for two threads, as beside one-thread BLAS; the helper
+    # then runs exactly when the process may use a second core
+    monkeypatch.setattr(encoders, "_BLOCK_THREADS", 2)
+    monkeypatch.setattr(encoders, "usable_cores", lambda: 2 if on else 1)
+
+
+def _hidden_conv(shape):
+    x = np.random.default_rng(31).normal(size=shape)
+    w = np.random.default_rng(32).normal(size=(16, shape[0], 3, 3))
+    return x, w
+
+
+def _count_handoffs(monkeypatch):
+    calls = []
+    share = encoders._Helper.share
+
+    def counted(self, *args):
+        calls.append(threading.current_thread().name)
+        return share(self, *args)
+
+    monkeypatch.setattr(encoders._Helper, "share", counted)
+    return calls
+
+
+# W*B = 512, 1280 and 630: the last is not a multiple of 8, so some of its
+# blocks run on OpenBLAS's edge kernel
+@pytest.mark.parametrize("shape", [(16, 8, 8, 64), (16, 8, 8, 160), (16, 10, 10, 63)])
+def test_conv3x3_helper_changes_no_bit(monkeypatch, shape):
+    x, w = _hidden_conv(shape)
+    g = np.random.default_rng(33).normal(size=(16,) + shape[1:])
+    handoffs = _count_handoffs(monkeypatch)
+
+    def forward_and_vjp(helper):
+        _force_helper(monkeypatch, helper)
+        out = encoders._conv3x3_same(num.leaf(x), w)
+        ((_, vjp),) = out._edges
+        return num.value_of(out), vjp(g)
+
+    y1, gx1 = forward_and_vjp(False)
+    assert handoffs == []
+    y2, gx2 = forward_and_vjp(True)
+    assert len(handoffs) == 2  # the forward and the VJP
+    assert np.array_equal(y1, y2) and np.array_equal(gx1, gx2)
+
+
+def test_conv3x3_beside_multithreaded_blas_runs_inline(monkeypatch):
+    # OpenBLAS's default of a thread per core: blocks cut for one thread and
+    # no helper. W*B = 512 keeps every block off the edge kernel, so the
+    # wider blocks change no bit either.
+    x, w = _hidden_conv((16, 8, 8, 64))
+    _force_helper(monkeypatch, True)
+    want = encoders._conv3x3(x, w)
+    monkeypatch.setattr(encoders, "_BLOCK_THREADS", 1)
+    handoffs = _count_handoffs(monkeypatch)
+    assert np.array_equal(encoders._conv3x3(x, w), want)
+    assert handoffs == []
+
+
+def test_conv3x3_off_the_main_thread_never_hands_off(monkeypatch):
+    _force_helper(monkeypatch, True)
+    handoffs = _count_handoffs(monkeypatch)
+    x, w = _hidden_conv((16, 8, 8, 64))
+    got = []
+    worker = threading.Thread(target=lambda: got.append(encoders._conv3x3(x, w)))
+    worker.start()
+    worker.join(60)
+    assert not worker.is_alive()
+    assert handoffs == [] and len(got) == 1
+    assert np.array_equal(got[0], encoders._conv3x3(x, w))
+    assert handoffs == ["MainThread"]
+
+
+def test_conv3x3_with_the_helper_stays_within_the_column_budget(monkeypatch):
+    # both threads' column buffers together: the budget is shared
+    _force_helper(monkeypatch, True)
+    encoders._helper()  # started outside the traced window
+    handoffs = _count_handoffs(monkeypatch)
+    x, w = _hidden_conv((16, 8, 8, 160))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        encoders._conv3x3(x, w)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert handoffs == ["MainThread"]
+    assert peak <= x.nbytes * 100 // 64 + x.nbytes + encoders._COLS_BYTES  # pad + out
+
+
+def test_conv3x3_helper_under_thread_stress_loses_no_block(monkeypatch):
+    # main + helper + two inline workers on at most two cores, switching
+    # threads as often as the interpreter allows: a block claimed twice or
+    # never, or a call returning before the helper's block is written,
+    # leaves rows that differ from the inline result
+    cases = [_hidden_conv(s) for s in [(16, 8, 8, 64), (16, 10, 10, 63), (3, 8, 8, 160)]]
+    _force_helper(monkeypatch, False)
+    wants = [encoders._conv3x3(x, w) for x, w in cases]
+    _force_helper(monkeypatch, True)
+    handoffs = _count_handoffs(monkeypatch)
+    stop, wrong = threading.Event(), []
+
+    def inline_worker():
+        while not stop.is_set():
+            for (x, w), want in zip(cases, wants):
+                if not np.array_equal(encoders._conv3x3(x, w), want):
+                    wrong.append(threading.current_thread().name)
+
+    workers = [threading.Thread(target=inline_worker) for _ in range(2)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in workers:
+            t.start()
+        deadline = time.monotonic() + 3
+        while time.monotonic() < deadline:
+            for (x, w), want in zip(cases, wants):
+                if not np.array_equal(encoders._conv3x3(x, w), want):
+                    wrong.append("MainThread")
+    finally:
+        stop.set()
+        sys.setswitchinterval(interval)
+        for t in workers:
+            t.join(60)
+    assert not any(t.is_alive() for t in workers)
+    assert wrong == []
+    assert len(handoffs) >= len(cases) and set(handoffs) == {"MainThread"}
+
+
+def test_conv3x3_helper_error_reraises_and_the_next_call_is_right(monkeypatch):
+    _force_helper(monkeypatch, True)
+    x, w = _hidden_conv((16, 8, 8, 64))
+    want = encoders._conv3x3(x, w)
+    entered = threading.Event()
+
+    def matmul(*args, **kw):
+        if _on_main():
+            assert entered.wait(10)  # the helper claims a block first
+            return np.matmul(*args, **kw)
+        entered.set()
+        raise FloatingPointError("helper block")
+
+    monkeypatch.setattr(encoders, "np", _NumpyWithMatmul(matmul))
+    with pytest.raises(FloatingPointError, match="helper block"):
+        encoders._conv3x3(x, w)
+    monkeypatch.setattr(encoders, "np", np)
+    handoffs = _count_handoffs(monkeypatch)
+    assert np.array_equal(encoders._conv3x3(x, w), want)
+    assert handoffs == ["MainThread"]
+
+
+class _FirstWaitInterrupted:
+    """Stands in for the helper's ``done`` semaphore: the first wait on it
+    raises as a Ctrl-C arriving in that wait would."""
+
+    def __init__(self, sem):
+        self.sem, self.interrupted, self.released = sem, False, threading.Event()
+
+    def acquire(self):
+        if not self.interrupted:
+            self.interrupted = True
+            raise KeyboardInterrupt
+        return self.sem.acquire()
+
+    def release(self):
+        self.sem.release()
+        self.released.set()
+
+
+def test_conv3x3_interrupted_wait_never_lets_a_later_call_return_early(monkeypatch):
+    _force_helper(monkeypatch, True)
+    x, w = _hidden_conv((16, 8, 8, 64))
+    want = encoders._conv3x3(x, w)
+    done = _FirstWaitInterrupted(encoders._helper().done)
+    monkeypatch.setattr(encoders._helper(), "done", done)
+    entered, go_on = threading.Event(), threading.Event()
+    unwritten = []  # helper blocks claimed and not yet written
+
+    def matmul(*args, **kw):
+        if _on_main():
+            assert entered.wait(10)
+            return np.matmul(*args, **kw)
+        unwritten.append(args[1].shape)
+        entered.set()
+        assert go_on.wait(10)
+        time.sleep(0.05)
+        result = np.matmul(*args, **kw)
+        unwritten.pop()
+        return result
+
+    monkeypatch.setattr(encoders, "np", _NumpyWithMatmul(matmul))
+    with pytest.raises(KeyboardInterrupt):
+        encoders._conv3x3(x, w)
+    # the helper finishes the interrupted call's block after its caller left
+    go_on.set()
+    assert done.released.wait(10)
+    entered.clear()
+    got = encoders._conv3x3(x, w)
+    assert unwritten == []
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_conv3x3_runs_in_a_child_forked_after_a_large_conv(monkeypatch):
+    _force_helper(monkeypatch, True)
+    x, w = _hidden_conv((16, 8, 8, 64))
+    want = encoders._conv3x3(x, w)
+    parents = encoders._HELPER
+    assert parents is not None
+    pid = os.fork()
+    if pid == 0:  # the child: exit 0 only on the right output from a new helper
+        code = 1
+        try:
+            ok = np.array_equal(encoders._conv3x3(x, w), want)
+            code = 0 if ok and encoders._HELPER not in (None, parents) else 1
+        finally:
+            os._exit(code)
+    deadline = time.monotonic() + 60
+    while True:
+        done, status = os.waitpid(pid, os.WNOHANG)
+        if done:
+            break
+        if time.monotonic() > deadline:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pytest.fail("the forked child's conv did not finish in 60 s")
+        time.sleep(0.01)
+    assert os.waitstatus_to_exitcode(status) == 0
+
+
+@pytest.mark.parametrize("blas,block_threads", [(None, 1), ("1", 2), ("2", 1)])
+def test_import_reads_the_blas_setting_and_starts_no_thread(blas, block_threads):
+    # blocks are cut for two threads only beside one-thread GEMMs; the
+    # helper starts with the first conv that shares, not at import
+    env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
+    env["PYTHONPATH"] = str(pathlib.Path(encoders.__file__).parents[1])
+    if blas is not None:
+        env["OPENBLAS_NUM_THREADS"] = blas
+    code = "import threading, ssam; print(ssam.encoders._BLOCK_THREADS, threading.active_count())"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == [str(block_threads), "1"]
 
 
 @pytest.mark.parametrize("family", ["vit", "conv"])

@@ -1,5 +1,6 @@
-"""The runtime depends on numpy and the standard library only, and only
-the CLI touches the allocator."""
+"""The runtime depends on numpy and the standard library only, only the
+CLI touches the allocator, and only the conv helper and the ablation pool
+start threads."""
 
 import ast
 import pathlib
@@ -48,4 +49,24 @@ def test_only_the_cli_touches_the_allocator():
             ident = getattr(node, "id", None) or getattr(node, "attr", None) or getattr(node, "name", None)
             if ident == "mallopt" or (isinstance(node, ast.Constant) and node.value == "mallopt"):
                 offenders.append(f"{path.name}:{node.lineno}: mallopt")
+    assert not offenders, offenders
+
+
+def test_only_the_conv_helper_and_the_ablation_pool_use_threads():
+    # encoders.py shares large convs with one helper thread and
+    # bench/reports.py runs the ablation pool; any other thread is new
+    # shared state the CSV byte-identity guarantees were never checked for
+    allowed = {"encoders.py", "bench/reports.py"}
+    offenders = []
+    for path, tree in _parsed_modules():
+        rel = path.relative_to(ROOT).as_posix()
+        if rel in allowed:
+            continue
+        for node in ast.walk(tree):
+            names = _imported(node)
+            offenders += [
+                f"{rel}: import {n}"
+                for n in names
+                if n.split(".")[0] in ("threading", "_thread", "concurrent")
+            ]
     assert not offenders, offenders
