@@ -9,14 +9,14 @@ immediately before a configurable block. The conv encoder runs a 3x3
 conv stack; each adapter token is tiled s x s and added to its spatial
 patch of the first feature map, so an s x s neighbourhood shares one
 token. The conv stack runs batch-last: its feature maps are
-(C, H, W, B), the layout in which each im2col tap is a copy of
-contiguous W*B runs and each conv's GEMM output is already the next
-layer's input. Each conv cuts its output rows into blocks whose im2col
-columns fit a fixed budget. When BLAS runs one thread per GEMM, the
-blocks are cut for two threads, and a conv of several blocks on the
-main thread of a process with a second core shares them with one lazily
-started helper thread, so a serial ``ssam adapt`` runs its large convs
-on two cores.
+(C, H, W, B), the layout in which a block's im2col columns are one copy
+of a strided view of the padded input, in contiguous W*B runs, and each
+conv's GEMM output is already the next layer's input. Each conv cuts
+its output rows into blocks whose im2col columns fit a fixed budget.
+When BLAS runs one thread per GEMM, the blocks are cut for two threads,
+and a conv of several blocks on the main thread of a process with a
+second core shares them with one lazily started helper thread, so a
+serial ``ssam adapt`` runs its large convs on two cores.
 
 Weights are drawn from a seeded generator at construction, marked
 read-only, and never change afterwards; adaptation only ever touches the
@@ -24,8 +24,9 @@ adapter tokens. All forward code routes through the graph primitives in
 :mod:`ssam.numerics`, so the same functions serve both the plain-array
 evaluation path and the reverse-mode gradient path. Each encoder splits
 at the adapter into a frozen ``prefix`` (plain arrays, once per batch)
-and a ``suffix`` on the tape; ``encode_batch`` composes the two. Encoders
-take image batches only, (B, C, H, W).
+and a ``suffix`` on the tape; ``encode_batch`` composes the two, and
+off the tape takes more than 64 images in slices of 64. Encoders take
+image batches only, (B, C, H, W).
 """
 
 from __future__ import annotations
@@ -136,20 +137,23 @@ def _conv3x3(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     (D, C, 3, 3) -> (D, H, W, B), as im2col GEMMs over blocks of whole
     output rows.
 
-    The column array keeps the kernel's (c, ky, kx) row order; each of its
-    nine taps is a slice of the padded input whose innermost runs are
-    W*B contiguous floats. With t = ``_BLOCK_THREADS`` (2 when BLAS runs
-    one thread per GEMM, else 1), H is cut into the fewest near-equal
-    blocks whose columns fit ``_COLS_BYTES // t``, rounded up to a
-    multiple of t (at most H) when there is more than one, and each
-    block's GEMM writes straight into its rows of the output. So the
-    partition depends on the shapes, the budget and the BLAS thread
-    setting, never on the core count or the calling thread. Every output
-    entry is the same dot product whatever the blocking. BLAS may still
-    round an entry differently when the blocking moves it into its edge
-    kernel for leftover columns; with OpenBLAS the result matches a
-    one-block run bit for bit when W*B is a multiple of 8. A small conv,
-    such as every one inside the finite-difference loops, is one block.
+    The column array keeps the kernel's (c, ky, kx) row order. Its
+    entry (c, ky, kx, y, x, b) is the padded input's (c, y + ky, x + kx,
+    b), so the whole array is one strided (C, 3, 3, H, W, B) view of the
+    padded input, and each block fills its columns with one copy of its
+    rows of that view, whose innermost runs are W*B contiguous floats.
+    With t = ``_BLOCK_THREADS`` (2 when BLAS runs one thread per GEMM,
+    else 1), H is cut into the fewest near-equal blocks whose columns fit
+    ``_COLS_BYTES // t``, rounded up to a multiple of t (at most H) when
+    there is more than one, and each block's GEMM writes straight into its
+    rows of the output. So the partition depends on the shapes, the
+    budget and the BLAS thread setting, never on the core count or the
+    calling thread. Every output entry is the same dot product whatever
+    the blocking. BLAS may still round an entry differently when the
+    blocking moves it into its edge kernel for leftover columns; with
+    OpenBLAS the result matches a one-block run bit for bit when W*B is a
+    multiple of 8. A small conv, such as every one inside the
+    finite-difference loops, is one block.
 
     A conv of more than one block, cut for two threads and called on the
     main thread of a process with two usable cores or more, shares its
@@ -163,6 +167,8 @@ def _conv3x3(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     dout, k, row = w.shape[0], cin * 9, wd * bsz
     pad = np.zeros((cin, h + 2, wd + 2, bsz))
     pad[:, 1:-1, 1:-1] = x
+    s0, s1, s2, s3 = pad.strides
+    taps = np.ndarray((cin, 3, 3, h, wd, bsz), buffer=pad, strides=(s0, s1, s2, s1, s2, s3))
     t = _BLOCK_THREADS
     nblocks = -(-h // max(1, _COLS_BYTES // t // (k * row * 8)))
     if nblocks > 1:
@@ -178,9 +184,7 @@ def _conv3x3(x: np.ndarray, w: np.ndarray) -> np.ndarray:
                 return
             a, b = i * h // nblocks, (i + 1) * h // nblocks
             cols = buf[: k * (b - a) * row].reshape(cin, 3, 3, b - a, wd, bsz)
-            for ky in range(3):
-                for kx in range(3):
-                    cols[:, ky, kx] = pad[:, a + ky : b + ky, kx : kx + wd]
+            cols[...] = taps[:, :, :, a:b]
             np.matmul(wm, cols.reshape(k, (b - a) * row), out=out[:, a * row : b * row])
 
     shared = nblocks > 1 and t > 1 and threading.current_thread() is threading.main_thread()
@@ -258,6 +262,11 @@ def apply_adapter_conv(featmap, tokens, s: int):
 # encoders
 
 
+# off the tape, a pass over more images runs in slices of this many: the
+# suffix's fastest batch, and a bound on what one full-stream pass holds
+_ENCODE_SLICE = 64
+
+
 def _freeze(arr: np.ndarray) -> np.ndarray:
     arr.flags.writeable = False
     return arr
@@ -276,6 +285,25 @@ class _FrozenEncoder:
     ``adapter_shape`` and yield their frozen arrays from
     ``_weight_arrays``.
     """
+
+    def encode_batch(self, images, adapter):
+        """Encode (B, C, H, W) images to (B, D) features; differentiable in
+        the adapter tokens.
+
+        With a plain adapter, more than ``_ENCODE_SLICE`` images are encoded
+        in slices of that many. ``np.concatenate`` keeps the slices' memory
+        layout, which is a single pass's, so the rows, and whatever is
+        computed from them, keep their bits.
+        """
+        imgs = self._check_images(images)
+        if isinstance(adapter, num.Var) or len(imgs) <= _ENCODE_SLICE:
+            return self.suffix(self.prefix(imgs), adapter)
+        return np.concatenate(
+            [
+                self.suffix(self.prefix(imgs[i : i + _ENCODE_SLICE]), adapter)
+                for i in range(0, len(imgs), _ENCODE_SLICE)
+            ]
+        )
 
     def new_adapter(self) -> np.ndarray:
         return np.zeros(self.adapter_shape)
@@ -401,10 +429,8 @@ class ToyViTEncoder(_FrozenEncoder):
             x = self._block_forward(x, blk)
         return num.mean_axis(x, axis=1)
 
-    def encode_batch(self, images, adapter):
-        """Encode (B, C, H, W) images to (B, D) features; differentiable in
-        the adapter tokens."""
-        return self.suffix(self.prefix(images), adapter)
+    # bound in each family, so each can be rebound on its own
+    encode_batch = _FrozenEncoder.encode_batch
 
 
 class ToyConvEncoder(_FrozenEncoder):
@@ -454,8 +480,7 @@ class ToyConvEncoder(_FrozenEncoder):
         h = num.tanh(_conv3x3_same(h, self.w3))
         return num.transpose(num.mean_axis(num.mean_axis(h, axis=2), axis=1))
 
-    def encode_batch(self, images, adapter):
-        return self.suffix(self.prefix(images), adapter)
+    encode_batch = _FrozenEncoder.encode_batch
 
 
 # ---------------------------------------------------------------------------

@@ -10,12 +10,17 @@ path; the two never share derivative code.
 
 Operations validate their own output: every primitive funnels through
 :func:`custom_node`, which tests every entry of every result it builds,
-on plain arrays as on the tape (``math.isfinite`` for a 0-d result,
-``np.logical_and.reduce(np.isfinite(out), axis=None)`` otherwise). Any
-NaN or infinity raises :class:`~ssam.errors.NumericError` naming the
-offending primitive. Checking only the objective's output would not do:
-``tanh``, ``xlogx``, ``row_softmax``, ``div`` and ``diag_part`` can each
-turn a non-finite operand into a finite result.
+on plain arrays as on the tape: ``math.isfinite(out)`` for a 0-d
+result, else ``math.isfinite(np.vdot(out, out))``, the sum of squares,
+which is not finite when an entry is not; when that sum is not finite,
+``np.logical_and.reduce(np.isfinite(out), axis=None)`` tells an
+overflow of finite entries from a NaN or infinity. The sum runs in BLAS,
+which raises no numpy floating-point warning, so finite extremes pass
+silently. Any NaN or infinity raises :class:`~ssam.errors.NumericError`
+naming the offending primitive, after whatever warning numpy gives for
+the operation that made it. Checking only the objective's output would
+not do: ``tanh``, ``xlogx``, ``row_softmax``, ``div`` and ``diag_part``
+can each turn a non-finite operand into a finite result.
 """
 
 from __future__ import annotations
@@ -30,6 +35,8 @@ from .errors import DegenerateInputError, DimensionError, NumericError
 
 ZERO_NORM_EPS = 1e-12
 FD_STEP = 1e-5
+
+_F64 = np.dtype(np.float64)  # one object: an identity test is a dtype test
 
 
 class Var:
@@ -72,7 +79,7 @@ def value_of(x) -> np.ndarray:
     """The plain float64 array behind ``x`` (Var or array-like)."""
     if isinstance(x, Var):
         return x.value
-    if type(x) is np.ndarray and x.dtype == np.float64:
+    if type(x) is np.ndarray and x.dtype is _F64:
         return x
     return np.asarray(x, dtype=np.float64)
 
@@ -86,11 +93,15 @@ def custom_node(op: str, out: np.ndarray, edges: Sequence[tuple]):
     operand is differentiable. Raises ``NumericError`` (naming ``op``) on
     a non-finite result.
     """
-    if not (type(out) is np.ndarray and out.dtype == np.float64):
+    if not (type(out) is np.ndarray and out.dtype is _F64):
         out = np.asarray(out, dtype=np.float64)
-    # the bare ufunc forms: the ndarray.all/min wrappers cost more than the
-    # test itself on the small arrays of a finite-difference forward
-    if not (np.logical_and.reduce(np.isfinite(out), axis=None) if out.ndim else math.isfinite(out)):
+    # a 0-d result is its own test; otherwise one BLAS call, where the
+    # entry-wise test costs three times as much on the small arrays of a
+    # finite-difference forward and runs only for a sum that is not finite
+    if not (
+        math.isfinite(np.vdot(out, out) if out.ndim else out)
+        or np.logical_and.reduce(np.isfinite(out), axis=None)
+    ):
         raise NumericError(f"{op} produced a non-finite value")
     for p, _ in edges:
         if isinstance(p, Var):
@@ -122,7 +133,9 @@ def gradient(out: Var, wrt: Var) -> np.ndarray:
     order = _toposort(out)
     grads: dict[int, np.ndarray] = {id(out): np.ones_like(out.value)}
     for node in reversed(order):
-        g = grads.get(id(node))
+        # every node comes before its parents, so its gradient is complete
+        # here and is dropped once its vjps have run; wrt's is the result
+        g = grads.get(id(node)) if node is wrt else grads.pop(id(node), None)
         if g is None:
             continue
         for parent, vjp in node._edges:
@@ -192,10 +205,10 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Sum ``g`` down to ``shape`` (adjoint of numpy broadcasting)."""
     extra = g.ndim - len(shape)
     if extra:
-        g = g.sum(axis=tuple(range(extra)))
+        g = np.add.reduce(g, axis=tuple(range(extra)))
     axes = tuple(i for i, s in enumerate(shape) if s == 1 and g.shape[i] != 1)
     if axes:
-        g = g.sum(axis=axes)  # the reshape below restores the summed axes
+        g = np.add.reduce(g, axis=axes)  # the reshape below restores the summed axes
     return g.reshape(shape)
 
 
@@ -231,13 +244,13 @@ def row_softmax(m):
     mv = value_of(m)
     if mv.size == 0 or mv.ndim < 1:
         raise DimensionError(f"row_softmax: input must be nonempty, got shape {mv.shape}")
-    z = mv - mv.max(axis=-1)[..., None]
-    e = np.exp(z)
-    y = e / e.sum(axis=-1)[..., None]
+    # the bare ufunc reductions here and below: the ndarray.max/sum/min
+    # wrappers call them, at a cost that shows on small arrays
+    e = np.exp(mv - np.maximum.reduce(mv, axis=-1, keepdims=True))
+    y = e / np.add.reduce(e, axis=-1, keepdims=True)
 
     def vjp(g):
-        inner = (g * y).sum(axis=-1)[..., None]
-        return y * (g - inner)
+        return y * (g - np.add.reduce(g * y, axis=-1, keepdims=True))
 
     return custom_node("row_softmax", y, ((m, vjp),))
 
@@ -259,7 +272,7 @@ def cosine_similarity_matrix(u, v):
     un = np.sqrt(np.add.reduce(uv * uv, axis=1))
     vn = np.sqrt(np.add.reduce(vv * vv, axis=1))
     for name, norms in (("u", un), ("v", vn)):
-        if norms.min(initial=np.inf) <= ZERO_NORM_EPS:
+        if np.minimum.reduce(norms, initial=np.inf) <= ZERO_NORM_EPS:
             row = int(np.argmin(norms))
             raise DegenerateInputError(
                 f"cosine_similarity_matrix: {name} row {row} has near-zero norm"
@@ -269,10 +282,10 @@ def cosine_similarity_matrix(u, v):
     s = uhat @ vhat.T
 
     def vjp_u(g):
-        return (g @ vhat - (g * s).sum(axis=1)[:, None] * uhat) / un[:, None]
+        return (g @ vhat - np.add.reduce(g * s, axis=1)[:, None] * uhat) / un[:, None]
 
     def vjp_v(g):
-        return (g.T @ uhat - (g * s).sum(axis=0)[:, None] * vhat) / vn[:, None]
+        return (g.T @ uhat - np.add.reduce(g * s, axis=0)[:, None] * vhat) / vn[:, None]
 
     return custom_node("cosine_similarity_matrix", s, ((u, vjp_u), (v, vjp_v)))
 
@@ -318,8 +331,7 @@ def mul(a, b):
 
 def div(a, b):
     av, bv = value_of(a), value_of(b)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        out = av / bv
+    out = av / bv
     return custom_node(
         "div",
         out,
@@ -332,9 +344,7 @@ def div(a, b):
 
 def log(a):
     av = value_of(a)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        out = np.log(av)
-    return custom_node("log", out, ((a, lambda g: g / av),))
+    return custom_node("log", np.log(av), ((a, lambda g: g / av),))
 
 
 def tanh(a):
@@ -359,7 +369,9 @@ def total_sum(a):
     """Sum of all entries, as a scalar."""
     av = value_of(a)
     return custom_node(
-        "total_sum", np.asarray(av.sum()), ((a, lambda g: np.broadcast_to(g, av.shape).copy()),)
+        "total_sum",
+        np.add.reduce(av, axis=None),
+        ((a, lambda g: np.broadcast_to(g, av.shape).copy()),),
     )
 
 
@@ -367,7 +379,7 @@ def squared_norm(a):
     """Sum of squared entries, as a scalar."""
     av = value_of(a)
     return custom_node(
-        "squared_norm", np.asarray((av * av).sum()), ((a, lambda g: 2.0 * g * av),)
+        "squared_norm", np.add.reduce(av * av, axis=None), ((a, lambda g: 2.0 * g * av),)
     )
 
 
@@ -378,7 +390,7 @@ def sum_axis(a, axis: int):
     def vjp(g):
         return np.broadcast_to(np.expand_dims(g, axis), av.shape).copy()
 
-    return custom_node("sum_axis", av.sum(axis=axis), ((a, vjp),))
+    return custom_node("sum_axis", np.add.reduce(av, axis=axis), ((a, vjp),))
 
 
 def mean_axis(a, axis: int):
@@ -418,4 +430,4 @@ def diag_part(a):
         np.fill_diagonal(out, g)
         return out
 
-    return custom_node("diag_part", np.diag(av).copy(), ((a, vjp),))
+    return custom_node("diag_part", av.diagonal().copy(), ((a, vjp),))

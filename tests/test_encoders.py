@@ -652,6 +652,29 @@ def test_encode_batch_of_six_is_its_two_halves_stacked(family):
     assert np.array_equal(num.value_of(enc.encode_batch(imgs, tokens)), np.concatenate(halves))
 
 
+@pytest.mark.parametrize("family", ["vit", "conv"])
+def test_encode_batch_of_160_in_slices_is_one_pass_bit_for_bit(family, monkeypatch):
+    enc = ToyViTEncoder() if family == "vit" else ToyConvEncoder()
+    rng = np.random.default_rng(160)
+    imgs = rng.normal(size=(160,) + enc.image_shape)
+    tokens = rng.normal(0.0, 0.2, enc.adapter_shape)
+    one = num.value_of(enc.suffix(enc.prefix(imgs), tokens))
+    seen = []
+    prefix = enc.prefix
+    monkeypatch.setattr(enc, "prefix", lambda images: seen.append(len(images)) or prefix(images))
+    got = enc.encode_batch(imgs, tokens)
+    assert seen == [64, 64, 32]
+    # the same layout as one pass, so what is computed from the rows keeps its bits too
+    assert got.tobytes() == one.tobytes() and got.strides == one.strides
+    t = embed_categories(4, enc.dim)
+    cos = num.cosine_similarity_matrix
+    assert cos(got, t).tobytes() == cos(one, t).tobytes()
+    # on the tape the batch stays one pass
+    seen.clear()
+    enc.encode_batch(imgs, num.leaf(tokens))
+    assert seen == [160]
+
+
 def _split_cells():
     for il in range(4):
         yield ToyViTEncoder(

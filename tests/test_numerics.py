@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -253,6 +254,33 @@ def test_primitive_gradients_match_finite_differences(name):
         assert _rel_err(res.gradient, fd) <= 1e-6, name
 
 
+def test_gradient_drops_each_node_gradient_once_its_vjps_have_run():
+    # a chain of 16 nodes: holding every gradient to the end takes 16
+    # arrays, dropping each once used takes a few at a time
+    x = np.random.default_rng(16).normal(size=(256, 256))
+    p = num.leaf(x)
+    out = p
+    for _ in range(16):
+        out = num.tanh(out)
+    out = num.total_sum(out)
+    want = num.gradient(out, p)
+    tracemalloc.start()
+    try:
+        got = num.gradient(out, p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.tobytes() == want.tobytes()
+    assert peak <= 4 * x.nbytes, peak / x.nbytes
+
+
+def test_gradient_keeps_the_gradient_of_an_interior_wrt():
+    p = num.leaf(np.array([0.5, -1.0]))
+    mid = num.tanh(p)
+    out = num.total_sum(num.mul(mid, mid))
+    assert np.array_equal(num.gradient(out, mid), 2.0 * mid.value)
+
+
 def test_gradient_accumulates_over_reused_node():
     # x appears twice; adjoints must add
     f = lambda x: num.total_sum(num.mul(x, x))
@@ -279,14 +307,27 @@ def _identity_vjp(g):
 @pytest.mark.parametrize("bad", NON_FINITE, ids=repr)
 def test_custom_node_rejects_any_non_finite_entry(bad, shape, operand):
     x = np.ones(2) if operand == "plain" else num.leaf(np.ones(2))
+    outs = []
     for where in (0, -1):
         out = np.zeros(shape)
         out.flat[where] = bad
+        outs += [out, out.T]  # past one axis, .T is not C-contiguous
+    if outs[0].size > 1:  # both infinities at once, and with the bad entry
+        both = np.zeros(shape)
+        both.flat[0], both.flat[-1] = math.inf, -math.inf
+        outs += [both, both.T]
+        both = both.copy()
+        both.flat[1] = bad
+        outs.append(both)
+    for out in outs:
         with pytest.raises(NumericError, match=r"^probe_op produced a non-finite value$"):
             num.custom_node("probe_op", out, ((x, _identity_vjp),))
+    if len(shape) > 1:
+        assert not outs[1].flags.c_contiguous
 
 
 @pytest.mark.parametrize("shape", CHECKED_SHAPES, ids=str)
+@pytest.mark.filterwarnings("error")
 def test_custom_node_accepts_finite_extremes(shape):
     out = np.full(shape, np.finfo(np.float64).max)
     out.flat[-1] = -np.finfo(np.float64).max
