@@ -11,14 +11,20 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import os
 import sys
 
 from ..adaptation import MODES, AdaptConfig
 from ..errors import ConfigError, DegenerateInputError, FormatError, NumericError
 from . import gradcheck as gc
-from .reports import run_ablation, run_experiment, summarize_ablation, write_ablation, write_report
+from .reports import (
+    DEFAULT_GRID,
+    run_ablation,
+    run_experiment,
+    summarize_ablation,
+    write_ablation,
+    write_report,
+)
 from .synthetic import (
     DEFAULT_FAMILY,
     FAMILIES,
@@ -27,6 +33,7 @@ from .synthetic import (
     generate_dataset,
     load_companion_embeddings,
     load_dataset,
+    read_json_object,
     save_benchmark,
 )
 
@@ -142,16 +149,7 @@ def _cmd_adapt(args) -> int:
 def _load_grid(path):
     if path is None:
         return None, None
-    with open(path) as fh:
-        raw = json.load(fh)
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{path}: grid must be a JSON object")
-    unknown = set(raw) - {"alpha", "beta"}
-    if unknown:
-        raise ConfigError(f"unknown grid keys {sorted(unknown)} in {path}")
-    for key, values in raw.items():
-        if not (isinstance(values, list) and all(type(x) in (int, float) for x in values)):
-            raise ConfigError(f"{path}: grid {key!r} must be a list of numbers, got {values!r}")
+    raw = read_json_object(path, "grid", {"alpha": DEFAULT_GRID, "beta": DEFAULT_GRID})
     return raw.get("alpha"), raw.get("beta")
 
 
@@ -208,7 +206,7 @@ def main(argv=None) -> int:
         if (getattr(args, "seed", None) or 0) < 0:  # numpy's generators take seeds >= 0
             raise ConfigError(f"--seed must be >= 0, got {args.seed}")
         return args.func(args)
-    except (ConfigError, FormatError, OSError, json.JSONDecodeError) as exc:
+    except (ConfigError, FormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (NumericError, DegenerateInputError) as exc:

@@ -20,7 +20,7 @@ from .. import numerics as num
 from ..adaptation import AdaptConfig, run_stream
 from ..association import association_map
 from ..encoders import usable_cores
-from ..errors import ConfigError
+from ..errors import ConfigError, SsamError
 
 THREADS_ENV = "SSAM_THREADS"
 
@@ -251,36 +251,40 @@ def run_ablation(
     *,
     seeds: int,
 ) -> list:
-    """One row per (cell, seed). Every cell runs every seed, so rows with
-    equal (alpha, beta, seed) are identical runs regardless of their mask
+    """One row per (cell, seed). Every cell runs every seed, and each
+    distinct (alpha, beta, seed) runs once: rows that share it, such as
+    ``full`` and the grid's base weights, copy one run whatever their mask
     label. Execution order never affects results: each task owns its
-    config and the encoder is immutable."""
+    config and the encoder is immutable. A stream that raises re-raises
+    its error, of the same type, naming the first cell that needed it."""
     if seeds < 1:
         raise ConfigError(f"need at least 1 seed, got {seeds}")
-    cells = ablation_cells(base_cfg, grid_alpha, grid_beta)
-    tasks = [
-        (mask, a, b, base_cfg.seed + k)
-        for mask, a, b in cells
+    rows = [
+        {"mask": mask, "alpha": a, "beta": b, "seed": base_cfg.seed + k}
+        for mask, a, b in ablation_cells(base_cfg, grid_alpha, grid_beta)
         for k in range(seeds)
     ]
+    streams = {}  # (alpha, beta, seed) -> the mask of the first row that runs it
+    for r in rows:
+        streams.setdefault((r["alpha"], r["beta"], r["seed"]), r["mask"])
 
-    def run_one(task):
-        mask, a, b, seed = task
+    def run_one(key):
+        a, b, seed = key
         cfg = dataclasses.replace(base_cfg, alpha=a, beta=b, seed=seed)
-        rep = run_stream(encoder, dataset, emb, cfg)
+        try:
+            rep = run_stream(encoder, dataset, emb, cfg)
+        except SsamError as exc:
+            cell = f"{streams[key]} alpha={a!r} beta={b!r} seed={seed}"
+            raise type(exc)(f"ablation cell {cell}: {exc}") from exc
         return {
-            "mask": mask,
-            "alpha": a,
-            "beta": b,
-            "seed": seed,
             "pre_accuracy": rep.pre_accuracy,
             "post_accuracy": rep.post_accuracy,
             "online_accuracy": rep.online_accuracy,
         }
 
     with ThreadPoolExecutor(max_workers=_thread_count()) as pool:
-        rows = list(pool.map(run_one, tasks))
-    return rows
+        runs = dict(zip(streams, pool.map(run_one, streams)))
+    return [dict(r, **runs[r["alpha"], r["beta"], r["seed"]]) for r in rows]
 
 
 def write_ablation(rows: list, out_dir) -> str:

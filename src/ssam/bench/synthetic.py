@@ -58,6 +58,37 @@ def _json_like(value, default) -> bool:
     return type(value) is type(default)
 
 
+def read_json_object(path, what: str, defaults: dict) -> dict:
+    """The JSON object in the UTF-8 file ``path``: its keys must be among
+    those of ``defaults`` and each value typed like its default (see
+    :func:`_json_like`). Every rejection is a ConfigError that names the
+    file; bad UTF-8 and bad JSON also name the byte offset."""
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    try:
+        raw = json.loads(blob.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: {what} is not UTF-8 at byte {exc.start}") from None
+    except json.JSONDecodeError as exc:
+        at = len(exc.doc[: exc.pos].encode("utf-8"))
+        raise ConfigError(
+            f"{path}: {exc.msg} at byte {at} (line {exc.lineno} column {exc.colno})"
+        ) from None
+    except (RecursionError, ValueError) as exc:  # nesting or an integer past Python's limits
+        raise ConfigError(f"{path}: {exc}") from None
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{path}: {what} must be a JSON object")
+    unknown = set(raw) - set(defaults)
+    if unknown:
+        raise ConfigError(f"unknown {what} keys {sorted(unknown)} in {path}")
+    for key, value in raw.items():
+        if not _json_like(value, defaults[key]):
+            raise ConfigError(
+                f"{path}: {what} {key} must be typed like {defaults[key]!r}, got {value!r}"
+            )
+    return raw
+
+
 @dataclass
 class SyntheticShiftSpec:
     num_classes: int = 4
@@ -98,20 +129,12 @@ class SyntheticShiftSpec:
 
     @classmethod
     def from_json(cls, path) -> "SyntheticShiftSpec":
-        with open(path) as fh:
-            raw = json.load(fh)
-        if not isinstance(raw, dict):
-            raise ConfigError(f"{path}: spec must be a JSON object")
         defaults = {f.name: f.default for f in dataclasses.fields(cls)}
-        unknown = set(raw) - set(defaults)
-        if unknown:
-            raise ConfigError(f"unknown spec keys {sorted(unknown)} in {path}")
-        for key, value in raw.items():
-            if not _json_like(value, defaults[key]):
-                raise ConfigError(
-                    f"{path}: {key} must be typed like {defaults[key]!r}, got {value!r}"
-                )
-        return cls(**raw)
+        raw = read_json_object(path, "spec", defaults)
+        try:
+            return cls(**raw)
+        except ConfigError as exc:  # a field value out of range
+            raise ConfigError(f"{path}: {exc}") from None
 
 
 @dataclass

@@ -15,8 +15,8 @@ conv's GEMM output is already the next layer's input. Each conv cuts
 its output rows into blocks whose im2col columns fit a fixed budget.
 When BLAS runs one thread per GEMM, the blocks are cut for two threads,
 and a conv of several blocks on the main thread of a process with a
-second core shares them with one lazily started helper thread, so a
-serial ``ssam adapt`` runs its large convs on two cores.
+second core shares them with a one-worker executor started on first
+use, so a serial ``ssam adapt`` runs its large convs on two cores.
 
 Weights are drawn from a seeded generator at construction, marked
 read-only, and never change afterwards; adaptation only ever touches the
@@ -31,10 +31,12 @@ image batches only, (B, C, H, W).
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import os
 import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -77,59 +79,15 @@ def _blas_threads_at_load():
 _BLOCK_THREADS = 2 if _blas_threads_at_load() == 1 else 1
 
 
-class _Helper:
-    """One daemon thread that shares the row blocks of the main thread's
-    large convs. ``share(job, mine, theirs)`` runs ``job(theirs)`` on the
-    helper and ``job(mine)`` on the caller, and returns once both are done;
-    an exception on the helper re-raises in the caller."""
-
-    def __init__(self):
-        self.go, self.done = threading.Semaphore(0), threading.Semaphore(0)
-        self.job = self.error = None
-        self.pending = False
-        threading.Thread(target=self._loop, name="ssam-conv", daemon=True).start()
-
-    def _loop(self):
-        while True:
-            self.go.acquire()
-            try:
-                self.job()
-            except BaseException as exc:  # re-raised in the caller
-                self.error = exc
-            self.job = None
-            self.done.release()
-
-    def share(self, job, mine, theirs):
-        if self.pending:  # the last wait was interrupted: take its release first
-            self.done.acquire()
-        self.job, self.error, self.pending = (lambda: job(theirs)), None, True
-        self.go.release()
-        try:
-            job(mine)
-        finally:
-            self.done.acquire()
-            self.pending = False
-        err, self.error = self.error, None
-        if err is not None:
-            raise err
+@functools.cache
+def _helper() -> ThreadPoolExecutor:
+    """The one-worker executor that shares the main thread's large convs,
+    started by the first conv that shares."""
+    return ThreadPoolExecutor(1, thread_name_prefix="ssam-conv")
 
 
-_HELPER = None
-
-
-def _helper() -> _Helper:
-    global _HELPER
-    if _HELPER is None:
-        _HELPER = _Helper()
-    return _HELPER
-
-
-def _drop_helper():
-    global _HELPER
-    _HELPER = None  # its thread did not survive the fork
-
-
-os.register_at_fork(after_in_child=_drop_helper)
+# a forked child has none of its parent's threads: it starts its own worker
+os.register_at_fork(after_in_child=_helper.cache_clear)
 
 
 def _conv3x3(x: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -156,12 +114,13 @@ def _conv3x3(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     finite-difference loops, is one block.
 
     A conv of more than one block, cut for two threads and called on the
-    main thread of a process with two usable cores or more, shares its
-    blocks with the helper thread: each thread claims the next block from
-    one counter and fills its own column buffer. The blocks and their
-    GEMMs are the same either way, so the output does not depend on which
-    thread ran a block. Other threads (the ablation pool's) run every
-    block inline.
+    main thread of a process with two usable cores or more, submits its
+    block loop to the helper executor's one worker, runs the loop too, and
+    waits for the job's future; each thread claims the next block from one
+    counter and fills its own column buffer. The blocks and their GEMMs
+    are the same either way, so the output does not depend on which thread
+    ran a block. A worker error re-raises here unless the caller raised
+    first. Other threads (the ablation pool's) run every block inline.
     """
     cin, h, wd, bsz = x.shape
     dout, k, row = w.shape[0], cin * 9, wd * bsz
@@ -189,7 +148,12 @@ def _conv3x3(x: np.ndarray, w: np.ndarray) -> np.ndarray:
 
     shared = nblocks > 1 and t > 1 and threading.current_thread() is threading.main_thread()
     if shared and usable_cores() > 1:
-        _helper().share(job, np.empty(size), np.empty(size))
+        theirs = _helper().submit(job, np.empty(size))
+        try:
+            job(np.empty(size))
+        finally:
+            theirs.exception()  # waits, raising none of the worker's errors over the caller's
+        theirs.result()
     else:
         job(np.empty(size))
     return out.reshape(dout, h, wd, bsz)
@@ -463,9 +427,7 @@ class ToyConvEncoder(_FrozenEncoder):
         return (self.num_tokens, self.dim)
 
     def _weight_arrays(self):
-        yield self.w1
-        yield self.w2
-        yield self.w3
+        return (self.w1, self.w2, self.w3)
 
     def prefix(self, images) -> np.ndarray:
         """The first conv's batch-last (D, H, W, B) map."""

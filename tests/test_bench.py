@@ -522,6 +522,29 @@ def test_run_ablation_is_thread_count_invariant(monkeypatch):
     assert rows[0] == rows[1]
 
 
+def test_run_ablation_runs_each_distinct_stream_once(monkeypatch):
+    enc, ds, emb = _tiny_run_inputs()
+    base = AdaptConfig(batch_size=4, steps_per_batch=1, learning_rate=1e-3, seed=4)
+    ran = []
+
+    def counted(encoder, dataset, emb, cfg):
+        ran.append((cfg.alpha, cfg.beta, cfg.seed))
+        return run_stream(encoder, dataset, emb, cfg)
+
+    run_stream = reports.run_stream
+    monkeypatch.setattr(reports, "run_stream", counted)
+    rows = reports.run_ablation(enc, ds, emb, base, grid_alpha=[1.0, 0.5], grid_beta=[1.0], seeds=2)
+    assert len(rows) == (4 + 2) * 2
+    assert sorted(ran) == sorted(set(ran)) and len(ran) == 5 * 2  # grid (1, 1) is full
+    by = {(r["mask"], r["alpha"], r["beta"], r["seed"]): r for r in rows}
+    for seed in (4, 5):
+        full, grid = by[("full", 1.0, 1.0, seed)], by[("grid", 1.0, 1.0, seed)]
+        assert full is not grid and dict(full, mask="grid") == grid
+    # the default sweep: 4 mask rows and a 5 x 5 grid, of which one is full
+    cells = reports.ablation_cells(AdaptConfig())
+    assert len(cells) == 29 and len({(a, b) for _, a, b in cells}) == 28
+
+
 def test_pool_default_is_the_usable_core_count(monkeypatch):
     # an affinity mask narrower than the machine sizes the pool, not the
     # CPU count; without sched_getaffinity the CPU count is the fallback

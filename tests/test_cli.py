@@ -4,6 +4,7 @@ import dataclasses
 import json
 import os
 import pathlib
+import re
 import struct
 import subprocess
 import sys
@@ -12,10 +13,11 @@ import pytest
 
 import ssam
 from ssam.adaptation import AdaptConfig
-from ssam.bench import DEFAULT_FAMILY, cli
+from ssam.bench import DEFAULT_FAMILY, cli, reports
 from ssam.bench.cli import main
-from ssam.bench.synthetic import save_embeddings
+from ssam.bench.synthetic import SyntheticShiftSpec, save_embeddings
 from ssam.encoders import embed_categories
+from ssam.errors import ConfigError, NumericError
 
 TINY_SPEC = {
     "num_classes": 2,
@@ -442,6 +444,103 @@ def test_nonfinite_json_config_is_exit_1(tmp_path, tiny_data, capsys, flag, text
     assert main(argv) == 1
     assert capsys.readouterr().err.startswith("error:")
     assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("flag", ["--spec", "--grid"])
+@pytest.mark.parametrize(
+    "blob, message",
+    [
+        (b"\xff\xfe{}", "is not UTF-8 at byte 0"),
+        (b'{"alpha": [1,]}', "Expecting value at byte 13 (line 1 column 14)"),
+        ('{"\u00e9": x}'.encode(), "Expecting value at byte 7 (line 1 column 7)"),
+    ],
+    ids=["not-utf8", "syntax", "syntax-after-a-two-byte-char"],
+)
+def test_undecodable_json_config_names_the_file_and_byte(tmp_path, tiny_data, capsys, flag, blob, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_bytes(blob)
+    if flag == "--grid":
+        argv = ["ablate", "--data", str(tiny_data), "--grid", str(cfg)]
+    else:
+        argv = ["gen-data", "--spec", str(cfg), "--out", str(tmp_path / "x.ssamds")]
+    capsys.readouterr()
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {cfg}: ") and message in err
+    assert "Traceback" not in err
+
+
+def _damaged(blob: bytes):
+    for n in range(len(blob)):
+        yield f"cut at byte {n}", blob[:n]
+    for bit in range(8 * len(blob)):
+        flipped = bytearray(blob)
+        flipped[bit // 8] ^= 1 << (bit % 8)
+        yield f"bit {bit} flipped", bytes(flipped)
+
+
+@pytest.mark.parametrize(
+    "read, text",
+    [
+        (SyntheticShiftSpec.from_json, '{"num_classes": 2, "shift_kind": "pixel-noise", "seed": 3}'),
+        (cli._load_grid, '{"alpha": [0.5, 1], "beta": [2.0]}'),
+    ],
+    ids=["spec", "grid"],
+)
+def test_json_config_every_truncation_and_bit_flip_is_read_or_named(tmp_path, read, text):
+    p = tmp_path / "damaged.json"
+    p.write_text(text)
+    read(p)  # the undamaged file reads
+    accepted = 0
+    for what, blob in _damaged(text.encode()):
+        p.write_bytes(blob)
+        try:
+            json.loads(blob.decode("utf-8"))
+            parses = True
+        except ValueError:
+            parses = False
+        try:
+            read(p)
+        except ConfigError as exc:
+            assert str(p) in str(exc), (what, str(exc))
+            if not parses:
+                at = re.search(r"\bbyte (\d+)", str(exc))
+                assert at and int(at.group(1)) <= len(blob), (what, str(exc))
+            continue
+        assert parses, what
+        accepted += 1
+    assert accepted > 0  # flips inside a number or a string value stay valid
+
+
+@pytest.mark.parametrize("read", [SyntheticShiftSpec.from_json, cli._load_grid], ids=["spec", "grid"])
+@pytest.mark.parametrize(
+    "text", ['{"seed": ' + "1" * 5000 + "}", "[" * 100_000], ids=["long-integer", "deep-nesting"]
+)
+def test_json_past_pythons_limits_names_the_file(tmp_path, read, text):
+    p = tmp_path / "cfg.json"
+    p.write_text(text)
+    with pytest.raises(ConfigError, match=re.escape(str(p))):
+        read(p)
+
+
+def test_failing_ablate_cell_names_itself(tiny_data, monkeypatch, capsys):
+    run_stream = reports.run_stream
+
+    def fail_one_cell(encoder, dataset, emb, cfg):
+        if (cfg.alpha, cfg.beta, cfg.seed) == (0.5, 1.0, 1):
+            raise NumericError("boom")
+        return run_stream(encoder, dataset, emb, cfg)
+
+    monkeypatch.setattr(reports, "run_stream", fail_one_cell)
+    grid = tiny_data.parent / "grid.json"
+    grid.write_text(json.dumps({"alpha": [1.0, 0.5], "beta": [1.0]}))
+    argv = ["ablate", "--data", str(tiny_data), "--grid", str(grid), "--seeds", "2",
+            "--batch", "8", "--steps", "1"]
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        "numeric failure: ablation cell grid alpha=0.5 beta=1.0 seed=1: boom\n"
+    )
 
 
 def test_bad_usage_is_exit_1(capsys):

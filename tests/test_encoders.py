@@ -412,14 +412,16 @@ def _hidden_conv(shape):
 
 
 def _count_handoffs(monkeypatch):
+    # the name of the thread behind each job handed to the helper executor
     calls = []
-    share = encoders._Helper.share
+    helper = encoders._helper()
+    submit = helper.submit
 
-    def counted(self, *args):
+    def counted(*args):
         calls.append(threading.current_thread().name)
-        return share(self, *args)
+        return submit(*args)
 
-    monkeypatch.setattr(encoders._Helper, "share", counted)
+    monkeypatch.setattr(helper, "submit", counted)
     return calls
 
 
@@ -474,9 +476,9 @@ def test_conv3x3_off_the_main_thread_never_hands_off(monkeypatch):
 def test_conv3x3_with_the_helper_stays_within_the_column_budget(monkeypatch):
     # both threads' column buffers together: the budget is shared
     _force_helper(monkeypatch, True)
-    encoders._helper()  # started outside the traced window
-    handoffs = _count_handoffs(monkeypatch)
     x, w = _hidden_conv((16, 8, 8, 160))
+    encoders._conv3x3(x, w)  # the worker starts outside the traced window
+    handoffs = _count_handoffs(monkeypatch)
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
@@ -549,30 +551,55 @@ def test_conv3x3_helper_error_reraises_and_the_next_call_is_right(monkeypatch):
     assert handoffs == ["MainThread"]
 
 
+def test_conv3x3_caller_error_wins_over_the_helpers(monkeypatch):
+    _force_helper(monkeypatch, True)
+    x, w = _hidden_conv((16, 8, 8, 64))
+    want = encoders._conv3x3(x, w)
+    entered, helper_raised = threading.Event(), threading.Event()
+
+    def matmul(*args, **kw):
+        if _on_main():
+            assert entered.wait(10)
+            raise ValueError("main block")
+        entered.set()
+        time.sleep(0.05)
+        helper_raised.set()
+        raise FloatingPointError("helper block")
+
+    monkeypatch.setattr(encoders, "np", _NumpyWithMatmul(matmul))
+    with pytest.raises(ValueError, match="main block"):
+        encoders._conv3x3(x, w)
+    assert helper_raised.is_set()  # the caller waited for the worker first
+    monkeypatch.setattr(encoders, "np", np)
+    assert np.array_equal(encoders._conv3x3(x, w), want)
+
+
 class _FirstWaitInterrupted:
-    """Stands in for the helper's ``done`` semaphore: the first wait on it
-    raises as a Ctrl-C arriving in that wait would."""
+    """Stands in for the helper's ``submit``: the first wait on the first
+    future it hands out raises as a Ctrl-C arriving in that wait would."""
 
-    def __init__(self, sem):
-        self.sem, self.interrupted, self.released = sem, False, threading.Event()
+    def __init__(self, submit):
+        self.submit, self.futures = submit, []
 
-    def acquire(self):
-        if not self.interrupted:
-            self.interrupted = True
-            raise KeyboardInterrupt
-        return self.sem.acquire()
+    def __call__(self, *args):
+        future = self.submit(*args)
+        if not self.futures:
+            future.exception = self._interrupt
+        self.futures.append(future)
+        return future
 
-    def release(self):
-        self.sem.release()
-        self.released.set()
+    @staticmethod
+    def _interrupt(timeout=None):
+        raise KeyboardInterrupt
 
 
 def test_conv3x3_interrupted_wait_never_lets_a_later_call_return_early(monkeypatch):
     _force_helper(monkeypatch, True)
     x, w = _hidden_conv((16, 8, 8, 64))
     want = encoders._conv3x3(x, w)
-    done = _FirstWaitInterrupted(encoders._helper().done)
-    monkeypatch.setattr(encoders._helper(), "done", done)
+    helper = encoders._helper()
+    submit = _FirstWaitInterrupted(helper.submit)
+    monkeypatch.setattr(helper, "submit", submit)
     entered, go_on = threading.Event(), threading.Event()
     unwritten = []  # helper blocks claimed and not yet written
 
@@ -591,12 +618,15 @@ def test_conv3x3_interrupted_wait_never_lets_a_later_call_return_early(monkeypat
     monkeypatch.setattr(encoders, "np", _NumpyWithMatmul(matmul))
     with pytest.raises(KeyboardInterrupt):
         encoders._conv3x3(x, w)
-    # the helper finishes the interrupted call's block after its caller left
-    go_on.set()
-    assert done.released.wait(10)
+    # the next call starts while the interrupted call's job still holds an
+    # unwritten block; it must return only once its own blocks are written
+    stale = submit.futures[0]
+    assert not stale.done() and unwritten
     entered.clear()
+    go_on.set()
     got = encoders._conv3x3(x, w)
     assert unwritten == []
+    assert stale.done() and len(submit.futures) == 2
     assert np.array_equal(got, want)
 
 
@@ -605,14 +635,15 @@ def test_conv3x3_runs_in_a_child_forked_after_a_large_conv(monkeypatch):
     _force_helper(monkeypatch, True)
     x, w = _hidden_conv((16, 8, 8, 64))
     want = encoders._conv3x3(x, w)
-    parents = encoders._HELPER
-    assert parents is not None
+    assert encoders._helper.cache_info().currsize == 1  # the parent has a helper
+    parents = encoders._helper()
     pid = os.fork()
     if pid == 0:  # the child: exit 0 only on the right output from a new helper
         code = 1
         try:
+            fresh = encoders._helper.cache_info().currsize == 0
             ok = np.array_equal(encoders._conv3x3(x, w), want)
-            code = 0 if ok and encoders._HELPER not in (None, parents) else 1
+            code = 0 if fresh and ok and encoders._helper() is not parents else 1
         finally:
             os._exit(code)
     deadline = time.monotonic() + 60
@@ -626,6 +657,26 @@ def test_conv3x3_runs_in_a_child_forked_after_a_large_conv(monkeypatch):
             pytest.fail("the forked child's conv did not finish in 60 s")
         time.sleep(0.01)
     assert os.waitstatus_to_exitcode(status) == 0
+
+
+def test_a_process_that_shared_a_conv_exits_normally():
+    # the executor's worker is not a daemon: the interpreter joins it at
+    # exit, which must not hang
+    env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
+    env["PYTHONPATH"] = str(pathlib.Path(encoders.__file__).parents[1])
+    env["OPENBLAS_NUM_THREADS"] = "1"
+    code = (
+        "import threading, numpy as np; from ssam import encoders\n"
+        "encoders.usable_cores = lambda: 2\n"
+        "x = np.ones((16, 8, 8, 64)); w = np.ones((16, 16, 3, 3))\n"
+        "assert encoders._BLOCK_THREADS == 2 and encoders._conv3x3(x, w).shape == x.shape\n"
+        "print(*sorted(t.name for t in threading.enumerate()))\n"
+    )
+    start = time.monotonic()
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["MainThread", "ssam-conv_0"]
+    assert time.monotonic() - start < 30
 
 
 @pytest.mark.parametrize("blas,block_threads", [(None, 1), ("1", 2), ("2", 1)])

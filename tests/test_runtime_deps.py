@@ -1,6 +1,6 @@
 """The runtime depends on numpy and the standard library only, only the
 CLI touches the allocator, and only the conv helper and the ablation pool
-start threads."""
+start threads, both through ThreadPoolExecutor."""
 
 import ast
 import pathlib
@@ -52,21 +52,41 @@ def test_only_the_cli_touches_the_allocator():
     assert not offenders, offenders
 
 
+# what starts a thread or coordinates threads by hand; the package's threads
+# come only from ThreadPoolExecutor, whose locks are the standard library's
+HAND_ROLLED = {
+    "Thread", "Timer", "Lock", "RLock", "Condition", "Semaphore", "BoundedSemaphore",
+    "Event", "Barrier", "start_new_thread", "allocate_lock",
+}
+
+
 def test_only_the_conv_helper_and_the_ablation_pool_use_threads():
-    # encoders.py shares large convs with one helper thread and
+    # encoders.py shares large convs with a one-worker executor and
     # bench/reports.py runs the ablation pool; any other thread is new
     # shared state the CSV byte-identity guarantees were never checked for
     allowed = {"encoders.py", "bench/reports.py"}
     offenders = []
     for path, tree in _parsed_modules():
         rel = path.relative_to(ROOT).as_posix()
-        if rel in allowed:
-            continue
         for node in ast.walk(tree):
             names = _imported(node)
-            offenders += [
-                f"{rel}: import {n}"
-                for n in names
-                if n.split(".")[0] in ("threading", "_thread", "concurrent")
-            ]
+            if rel not in allowed:
+                offenders += [
+                    f"{rel}: import {n}"
+                    for n in names
+                    if n.split(".")[0] in ("threading", "_thread", "concurrent")
+                ]
+            if isinstance(node, ast.ImportFrom) and node.module in ("threading", "_thread"):
+                offenders += [
+                    f"{rel}: from {node.module} import {a.name}"
+                    for a in node.names
+                    if a.name in HAND_ROLLED | {"*"}
+                ]
+            if (
+                isinstance(node, ast.Attribute)
+                and node.attr in HAND_ROLLED
+                and isinstance(node.value, ast.Name)
+                and node.value.id in ("threading", "_thread")
+            ):
+                offenders.append(f"{rel}:{node.lineno}: {node.value.id}.{node.attr}")
     assert not offenders, offenders
