@@ -4,7 +4,8 @@ Exit codes: 0 success, 1 configuration or file-format problem, 2 numeric
 failure during adaptation (a non-finite value, or a degenerate input such
 as a zero feature vector where a direction is needed), 3 gradient
 verification failure. argparse's own complaints are routed through
-ConfigError so bad flags also exit 1.
+ConfigError so bad flags also exit 1. ``main`` sets up its own process:
+it pins glibc's heap thresholds and runs OpenBLAS on one thread.
 """
 
 from __future__ import annotations
@@ -199,8 +200,27 @@ def _pin_heap_thresholds() -> None:
     mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
 
 
+def _pin_blas_threads() -> None:
+    """Run each OpenBLAS GEMM on one thread, whatever the environment
+    asked for, so the program's own threads use the cores: the conv
+    helper in a serial run and the pool in ``ablate``. OpenBLAS's setter,
+    under the name this build exports, is looked up in the library numpy
+    loaded; a BLAS without one is left alone."""
+    import ctypes
+
+    mods = sys.modules  # numpy 2 keeps its core in numpy._core, numpy 1 in numpy.core
+    core = mods.get("numpy._core._multiarray_umath") or mods["numpy.core._multiarray_umath"]
+    lib = ctypes.CDLL(core.__file__, mode=os.RTLD_NOLOAD)
+    for name in ("scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_threads",
+                 "openblas_set_num_threads64_", "openblas_set_num_threads"):
+        if hasattr(lib, name):
+            getattr(lib, name)(1)  # its one argument is a C int, ctypes' default for 1
+            return
+
+
 def main(argv=None) -> int:
     _pin_heap_thresholds()
+    _pin_blas_threads()
     try:
         args = _build_parser().parse_args(argv)
         if (getattr(args, "seed", None) or 0) < 0:  # numpy's generators take seeds >= 0

@@ -31,6 +31,7 @@ INSTANCES_PER_COMPONENT = 20
 MAX_BATCH = 16
 MAX_CATEGORIES = 8
 MAX_DIM = 32
+MAX_TOKENS = 16
 
 
 @dataclass
@@ -129,14 +130,10 @@ def gradcheck_command(
     n: int = 9,
     corrupt=None,
 ) -> GradcheckReport:
-    if not (1 <= batch <= MAX_BATCH):
-        raise ConfigError(f"batch must be in [1, {MAX_BATCH}], got {batch}")
-    if not (2 <= m <= MAX_CATEGORIES):
-        raise ConfigError(f"categories must be in [2, {MAX_CATEGORIES}], got {m}")
-    if not (1 <= d <= MAX_DIM):
-        raise ConfigError(f"feature dim must be in [1, {MAX_DIM}], got {d}")
-    if n < 1:
-        raise ConfigError(f"token count must be >= 1, got {n}")
+    for what, value, low, high in (("batch", batch, 1, MAX_BATCH), ("categories", m, 2, MAX_CATEGORIES),
+                                   ("feature dim", d, 1, MAX_DIM), ("token count", n, 1, MAX_TOKENS)):
+        if not low <= value <= high:
+            raise ConfigError(f"{what} must be in [{low}, {high}], got {value}")
     if corrupt is not None and corrupt not in COMPONENTS:
         raise ConfigError(f"corrupt target must be one of {COMPONENTS}, got {corrupt!r}")
 

@@ -12,11 +12,11 @@ token. The conv stack runs batch-last: its feature maps are
 (C, H, W, B), the layout in which a block's im2col columns are one copy
 of a strided view of the padded input, in contiguous W*B runs, and each
 conv's GEMM output is already the next layer's input. Each conv cuts
-its output rows into blocks whose im2col columns fit a fixed budget.
-When BLAS runs one thread per GEMM, the blocks are cut for two threads,
-and a conv of several blocks on the main thread of a process with a
-second core shares them with a one-worker executor started on first
-use, so a serial ``ssam adapt`` runs its large convs on two cores.
+its output rows into blocks for two threads, whose im2col columns fit a
+fixed budget. A conv of several blocks on the main thread of a process
+with a second core shares them with a one-worker executor started on
+first use, so a serial ``ssam adapt``, whose CLI runs BLAS on one
+thread, runs its large convs on two cores.
 
 Weights are drawn from a seeded generator at construction, marked
 read-only, and never change afterwards; adaptation only ever touches the
@@ -61,24 +61,6 @@ def usable_cores() -> int:
     return os.cpu_count() or 1
 
 
-def _blas_threads_at_load():
-    """The GEMM thread count OpenBLAS took when numpy loaded it: the first
-    positive one of the variables it reads, or None for one per core."""
-    for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
-        value = os.environ.get(name, "").strip()
-        if value.isdigit() and int(value) > 0:
-            return int(value)
-    return None
-
-
-# the threads a conv's row blocks are cut for: two beside one-thread GEMMs,
-# which leave a core idle; one beside OpenBLAS's default of a thread per
-# core, whose GEMMs use every core already (a helper there made
-# `ssam adapt` slower, and halved blocks made streams slower). numpy,
-# imported above, has loaded OpenBLAS, which reads its variables only once.
-_BLOCK_THREADS = 2 if _blas_threads_at_load() == 1 else 1
-
-
 @functools.cache
 def _helper() -> ThreadPoolExecutor:
     """The one-worker executor that shares the main thread's large convs,
@@ -100,27 +82,28 @@ def _conv3x3(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     b), so the whole array is one strided (C, 3, 3, H, W, B) view of the
     padded input, and each block fills its columns with one copy of its
     rows of that view, whose innermost runs are W*B contiguous floats.
-    With t = ``_BLOCK_THREADS`` (2 when BLAS runs one thread per GEMM,
-    else 1), H is cut into the fewest near-equal blocks whose columns fit
-    ``_COLS_BYTES // t``, rounded up to a multiple of t (at most H) when
-    there is more than one, and each block's GEMM writes straight into its
-    rows of the output. So the partition depends on the shapes, the
-    budget and the BLAS thread setting, never on the core count or the
-    calling thread. Every output entry is the same dot product whatever
-    the blocking. BLAS may still round an entry differently when the
-    blocking moves it into its edge kernel for leftover columns; with
-    OpenBLAS the result matches a one-block run bit for bit when W*B is a
-    multiple of 8. A small conv, such as every one inside the
-    finite-difference loops, is one block.
+    H is cut for two threads: into the fewest near-equal blocks whose
+    columns fit ``_COLS_BYTES // 2``, rounded up to an even count (at
+    most H) when there is more than one, and each block's GEMM writes
+    straight into its rows of the output. So the partition depends on the
+    shapes and the budget only, never on the environment, the core count
+    or the calling thread. Every output entry is the same dot product
+    whatever the blocking. BLAS may still round an entry differently when
+    the blocking, or its own threading, moves it into its edge kernel for
+    leftover columns; with OpenBLAS the result matches a one-block run bit
+    for bit when W*B is a multiple of 8, and the CLI runs OpenBLAS on one
+    thread so that its reports never depend on the inherited thread
+    setting. A small conv, such as every one inside the finite-difference
+    loops, is one block.
 
-    A conv of more than one block, cut for two threads and called on the
-    main thread of a process with two usable cores or more, submits its
-    block loop to the helper executor's one worker, runs the loop too, and
-    waits for the job's future; each thread claims the next block from one
-    counter and fills its own column buffer. The blocks and their GEMMs
-    are the same either way, so the output does not depend on which thread
-    ran a block. A worker error re-raises here unless the caller raised
-    first. Other threads (the ablation pool's) run every block inline.
+    A conv of more than one block, called on the main thread of a process
+    with two usable cores or more, submits its block loop to the helper
+    executor's one worker, runs the loop too, and waits for the job's
+    future; each thread claims the next block from one counter and fills
+    its own column buffer. The blocks and their GEMMs are the same either
+    way, so the output does not depend on which thread ran a block. A
+    worker error re-raises here unless the caller raised first. Other
+    threads (the ablation pool's) run every block inline.
     """
     cin, h, wd, bsz = x.shape
     dout, k, row = w.shape[0], cin * 9, wd * bsz
@@ -128,10 +111,9 @@ def _conv3x3(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     pad[:, 1:-1, 1:-1] = x
     s0, s1, s2, s3 = pad.strides
     taps = np.ndarray((cin, 3, 3, h, wd, bsz), buffer=pad, strides=(s0, s1, s2, s1, s2, s3))
-    t = _BLOCK_THREADS
-    nblocks = -(-h // max(1, _COLS_BYTES // t // (k * row * 8)))
+    nblocks = -(-h // max(1, _COLS_BYTES // 2 // (k * row * 8)))
     if nblocks > 1:
-        nblocks = min(h, -(-nblocks // t) * t)
+        nblocks = min(h, nblocks + nblocks % 2)
     size = k * -(-h // nblocks) * row
     wm = w.reshape(dout, k)
     out = np.empty((dout, h * row))
@@ -146,8 +128,7 @@ def _conv3x3(x: np.ndarray, w: np.ndarray) -> np.ndarray:
             cols[...] = taps[:, :, :, a:b]
             np.matmul(wm, cols.reshape(k, (b - a) * row), out=out[:, a * row : b * row])
 
-    shared = nblocks > 1 and t > 1 and threading.current_thread() is threading.main_thread()
-    if shared and usable_cores() > 1:
+    if nblocks > 1 and threading.current_thread() is threading.main_thread() and usable_cores() > 1:
         theirs = _helper().submit(job, np.empty(size))
         try:
             job(np.empty(size))

@@ -620,7 +620,7 @@ def test_gradcheck_corrupt_hook_names_component():
 
 @pytest.mark.parametrize(
     "kw",
-    [dict(batch=17), dict(batch=0), dict(m=1), dict(m=9), dict(d=0), dict(d=33), dict(n=5), dict(corrupt="bogus")],
+    [dict(batch=17), dict(batch=0), dict(m=1), dict(m=9), dict(d=0), dict(d=33), dict(n=5), dict(corrupt="bogus"), dict(n=25)],
 )
 def test_gradcheck_size_validation(kw):
     with pytest.raises(ConfigError):

@@ -388,6 +388,8 @@ def test_gradcheck_cli_bad_sizes(capsys):
     assert "batch" in capsys.readouterr().err
     assert main(["gradcheck", "--n", "-4"]) == 1
     assert capsys.readouterr().err.startswith("error:")
+    assert main(["gradcheck", "--n", "4096"]) == 1  # a perfect square, past MAX_TOKENS
+    assert "token count" in capsys.readouterr().err
 
 
 def test_ablate_bad_thread_env_is_exit_1(tiny_data, monkeypatch, capsys):
@@ -648,3 +650,65 @@ def test_heap_pin_sets_mmap_then_trim_threshold_on_glibc(monkeypatch):
     monkeypatch.setattr(ctypes, "CDLL", FakeLibc)
     cli._pin_heap_thresholds()
     assert calls == [(-3, 32 << 20), (-1, 64 << 20)]  # M_MMAP_THRESHOLD, M_TRIM_THRESHOLD
+
+
+def _fake_blas(monkeypatch, names):
+    """Make ``ctypes.CDLL`` open a library exporting ``names``, each a
+    setter that records its calls; returns the call list."""
+    import ctypes
+
+    calls = []
+
+    class FakeBlas:
+        def __init__(self, path, mode=0):
+            assert mode == os.RTLD_NOLOAD  # never loads a library of its own
+            for name in names:
+                setattr(self, name, lambda n, name=name: calls.append((name, n)))
+
+    monkeypatch.setattr(ctypes, "CDLL", FakeBlas)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "names, first",
+    [
+        (("openblas_set_num_threads", "scipy_openblas_set_num_threads64_"),
+         "scipy_openblas_set_num_threads64_"),
+        (("openblas_set_num_threads", "openblas_set_num_threads64_"), "openblas_set_num_threads64_"),
+        (("openblas_set_num_threads",), "openblas_set_num_threads"),
+    ],
+)
+def test_blas_pin_calls_the_first_setter_found_once_with_1(monkeypatch, names, first):
+    calls = _fake_blas(monkeypatch, names)
+    cli._pin_blas_threads()
+    assert calls == [(first, 1)]
+
+
+def test_blas_pin_leaves_a_library_without_a_setter_alone(monkeypatch):
+    calls = _fake_blas(monkeypatch, ("openblas_get_num_threads", "goto_set_num_threads"))
+    cli._pin_blas_threads()
+    assert calls == []
+
+
+def test_reports_do_not_depend_on_the_inherited_blas_threads(tmp_path):
+    # W*B = 10 * 63 is not a multiple of 8, so OpenBLAS's own threading
+    # would move columns between its kernels and change last bits; the CLI
+    # runs it on one thread whatever the process inherits
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"image_shape": [3, 10, 10]}))
+    data = tmp_path / "data.ssamds"
+    assert main(["gen-data", "--spec", str(spec), "--out", str(data)]) == 0
+    base = {k: v for k, v in _child_env().items() if not k.endswith("_NUM_THREADS")}
+    for family in ("conv", "vit"):
+        reports = {}
+        for blas in (None, "1", "2"):
+            out = tmp_path / f"{family}-{blas}"
+            env = base if blas is None else dict(base, OPENBLAS_NUM_THREADS=blas)
+            argv = ["adapt", "--encoder", family, "--batch", "63", "--steps", "3", "--per-image",
+                    "--data", str(data), "--report", str(out)]
+            proc = subprocess.run([sys.executable, "-m", "ssam.bench.cli", *argv],
+                                  capture_output=True, text=True, env=env, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            reports[blas] = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert set(EXPECTED_REPORT_FILES) <= set(reports["1"])
+        assert reports[None] == reports["1"] == reports["2"], family

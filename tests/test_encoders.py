@@ -331,9 +331,10 @@ def test_conv_encode_batch_matches_naive_loops():
 
 @pytest.mark.parametrize("rows", [0, 1, 2])
 def test_conv3x3_row_blocks_match_one_block(monkeypatch, rows):
-    # a column budget of `rows` forward rows: below one row, one row
-    # (5 blocks of 1) and two rows (blocks of 1, 2, 2). The VJP's rows are
-    # twice as wide (cin 6), so it runs one row per block in every case.
+    # a column budget of `rows` forward rows per thread: below one row,
+    # one row (5 blocks of 1) and two rows (an even count of 4 blocks: 1,
+    # 1, 1, 2). The VJP's rows are twice as wide (cin 6), so it runs one
+    # row per block in every case.
     # W*B = 8 keeps each block's columns off OpenBLAS's edge kernel.
     rng = np.random.default_rng(21)
     x = rng.normal(size=(2, 3, 5, 4))  # (B, C, H, W)
@@ -347,7 +348,7 @@ def test_conv3x3_row_blocks_match_one_block(monkeypatch, rows):
         return num.value_of(out), vjp(g_bl)
 
     y1, gx1 = forward_and_vjp()
-    monkeypatch.setattr(encoders, "_COLS_BYTES", rows * 3 * 9 * 4 * 2 * 8)
+    monkeypatch.setattr(encoders, "_COLS_BYTES", 2 * rows * 3 * 9 * 4 * 2 * 8)
     y, gx = forward_and_vjp()
     assert np.array_equal(y, y1) and np.array_equal(gx, gx1)
     assert rel_err(y.transpose(3, 0, 1, 2), naive_conv3x3_same(x, w)) <= 1e-12
@@ -372,18 +373,6 @@ def test_conv3x3_temporaries_stay_within_the_column_budget():
     assert peak <= pad_bytes + out_bytes + encoders._COLS_BYTES
 
 
-def test_blas_thread_count_is_read_as_openblas_reads_it(monkeypatch):
-    for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
-        monkeypatch.delenv(name, raising=False)
-    assert encoders._blas_threads_at_load() is None  # OpenBLAS: one per core
-    monkeypatch.setenv("OMP_NUM_THREADS", "3")
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "0")  # not positive: skipped
-    assert encoders._blas_threads_at_load() == 3
-    monkeypatch.setenv("GOTO_NUM_THREADS", "x")
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", " 1 ")
-    assert encoders._blas_threads_at_load() == 1
-
-
 class _NumpyWithMatmul:
     """numpy with ``matmul`` replaced, to steer the conv's two threads."""
 
@@ -399,9 +388,7 @@ def _on_main():
 
 
 def _force_helper(monkeypatch, on):
-    # blocks cut for two threads, as beside one-thread BLAS; the helper
-    # then runs exactly when the process may use a second core
-    monkeypatch.setattr(encoders, "_BLOCK_THREADS", 2)
+    # the helper runs exactly when the process may use a second core
     monkeypatch.setattr(encoders, "usable_cores", lambda: 2 if on else 1)
 
 
@@ -444,19 +431,6 @@ def test_conv3x3_helper_changes_no_bit(monkeypatch, shape):
     y2, gx2 = forward_and_vjp(True)
     assert len(handoffs) == 2  # the forward and the VJP
     assert np.array_equal(y1, y2) and np.array_equal(gx1, gx2)
-
-
-def test_conv3x3_beside_multithreaded_blas_runs_inline(monkeypatch):
-    # OpenBLAS's default of a thread per core: blocks cut for one thread and
-    # no helper. W*B = 512 keeps every block off the edge kernel, so the
-    # wider blocks change no bit either.
-    x, w = _hidden_conv((16, 8, 8, 64))
-    _force_helper(monkeypatch, True)
-    want = encoders._conv3x3(x, w)
-    monkeypatch.setattr(encoders, "_BLOCK_THREADS", 1)
-    handoffs = _count_handoffs(monkeypatch)
-    assert np.array_equal(encoders._conv3x3(x, w), want)
-    assert handoffs == []
 
 
 def test_conv3x3_off_the_main_thread_never_hands_off(monkeypatch):
@@ -661,15 +635,15 @@ def test_conv3x3_runs_in_a_child_forked_after_a_large_conv(monkeypatch):
 
 def test_a_process_that_shared_a_conv_exits_normally():
     # the executor's worker is not a daemon: the interpreter joins it at
-    # exit, which must not hang
+    # exit, which must not hang. The helper shares under any inherited
+    # BLAS thread setting, so the child runs at OpenBLAS's default.
     env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
     env["PYTHONPATH"] = str(pathlib.Path(encoders.__file__).parents[1])
-    env["OPENBLAS_NUM_THREADS"] = "1"
     code = (
         "import threading, numpy as np; from ssam import encoders\n"
         "encoders.usable_cores = lambda: 2\n"
         "x = np.ones((16, 8, 8, 64)); w = np.ones((16, 16, 3, 3))\n"
-        "assert encoders._BLOCK_THREADS == 2 and encoders._conv3x3(x, w).shape == x.shape\n"
+        "assert encoders._conv3x3(x, w).shape == x.shape\n"
         "print(*sorted(t.name for t in threading.enumerate()))\n"
     )
     start = time.monotonic()
@@ -679,18 +653,18 @@ def test_a_process_that_shared_a_conv_exits_normally():
     assert time.monotonic() - start < 30
 
 
-@pytest.mark.parametrize("blas,block_threads", [(None, 1), ("1", 2), ("2", 1)])
-def test_import_reads_the_blas_setting_and_starts_no_thread(blas, block_threads):
-    # blocks are cut for two threads only beside one-thread GEMMs; the
-    # helper starts with the first conv that shares, not at import
+@pytest.mark.parametrize("blas", [None, "1", "2"])
+def test_import_reads_the_blas_setting_and_starts_no_thread(blas):
+    # whatever BLAS thread setting the process inherits, the helper starts
+    # with the first conv that shares, not at import
     env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
     env["PYTHONPATH"] = str(pathlib.Path(encoders.__file__).parents[1])
     if blas is not None:
         env["OPENBLAS_NUM_THREADS"] = blas
-    code = "import threading, ssam; print(ssam.encoders._BLOCK_THREADS, threading.active_count())"
+    code = "import threading, ssam; print(threading.active_count())"
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == [str(block_threads), "1"]
+    assert done.stdout.split() == ["1"]
 
 
 @pytest.mark.parametrize("family", ["vit", "conv"])
