@@ -4,7 +4,7 @@ Only the adapter tokens are ever updated; encoder weights and the
 category matrix stay frozen (their checksums are the caller's witness).
 Labels are consumed exclusively by the accuracy metrics, never by the
 adaptation path. Batches are processed in a seeded shuffled order;
-``continual`` mode carries one adapter (and optimizer state) across the
+``continual`` mode carries one adapter (and its Adam state) across the
 whole stream, ``episodic`` mode restarts both for every batch.
 """
 
@@ -21,7 +21,6 @@ from .errors import ConfigError, NumericError
 from .objectives import LossBreakdown, total_objective
 
 MODES = ("continual", "episodic")
-OPTIMIZERS = ("adam", "sgd")
 
 
 @dataclass
@@ -35,7 +34,6 @@ class AdaptConfig:
     batch_size: int = 64
     steps_per_batch: int = 50
     mode: str = "continual"
-    optimizer: str = "adam"
     seed: int = 0
 
     def __post_init__(self):
@@ -58,10 +56,6 @@ class AdaptConfig:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.optimizer not in OPTIMIZERS:
-            raise ConfigError(
-                f"optimizer must be one of {OPTIMIZERS}, got {self.optimizer!r}"
-            )
 
 
 @dataclass
@@ -75,11 +69,14 @@ class AdaptReport:
     num_batches: int
     # (N, D) features of the whole stream under the zero adapter and the
     # final one: the passes behind pre_accuracy and post_accuracy
-    features_pre: np.ndarray = None
-    features_post: np.ndarray = None
+    features_pre: np.ndarray
+    features_post: np.ndarray
 
 
 class SgdOptimizer:
+    """Plain gradient descent, for a caller that passes it to
+    ``adapt_batch``; adaptation itself always runs Adam."""
+
     def __init__(self, learning_rate: float):
         self.learning_rate = learning_rate
 
@@ -126,12 +123,6 @@ class AdamOptimizer:
         self.t, self.m, self.v = snap
 
 
-def make_optimizer(cfg: AdaptConfig):
-    if cfg.optimizer == "adam":
-        return AdamOptimizer(cfg.learning_rate)
-    return SgdOptimizer(cfg.learning_rate)
-
-
 def classify_batch(encoder, images, adapter, t) -> np.ndarray:
     """Per-image labels for a stack of images (vectorized inference; no
     cross-image coupling, each row is classified independently)."""
@@ -160,6 +151,7 @@ def evaluate(encoder, images, labels, adapter, t):
 def adapt_batch(encoder, images, adapter, t, cfg: AdaptConfig, optimizer=None):
     """Run cfg.steps_per_batch optimizer steps of the combined objective
     on one batch. Returns (updated adapter tokens, per-step losses).
+    ``optimizer`` defaults to a fresh Adam at ``cfg.learning_rate``.
 
     On any non-finite value the optimizer state is restored and the error
     re-raised; the returned tokens are never partially updated (the
@@ -169,7 +161,7 @@ def adapt_batch(encoder, images, adapter, t, cfg: AdaptConfig, optimizer=None):
     if imgs.shape[0] == 0:
         raise ConfigError("adapt_batch needs a nonempty batch")
     if optimizer is None:
-        optimizer = make_optimizer(cfg)
+        optimizer = AdamOptimizer(cfg.learning_rate)
 
     # the frozen layers before the adapter see the same images every step
     prefix = encoder.prefix(imgs)
@@ -215,7 +207,7 @@ def run_stream(encoder, dataset, t, cfg: AdaptConfig) -> AdaptReport:
     features_pre, pre_accuracy = evaluate(encoder, images, labels, encoder.new_adapter(), t)
 
     adapter = encoder.new_adapter()
-    optimizer = make_optimizer(cfg)
+    optimizer = AdamOptimizer(cfg.learning_rate)
     history: list[LossBreakdown] = []
     online_hits = 0
     num_batches = 0
@@ -224,7 +216,7 @@ def run_stream(encoder, dataset, t, cfg: AdaptConfig) -> AdaptReport:
         num_batches += 1
         if cfg.mode == "episodic":
             adapter = encoder.new_adapter()
-            optimizer = make_optimizer(cfg)
+            optimizer = AdamOptimizer(cfg.learning_rate)
         preds = classify_batch(encoder, images[idx], adapter, t)
         online_hits += int((preds == labels[idx]).sum())
         adapter, bds = adapt_batch(encoder, images[idx], adapter, t, cfg, optimizer)

@@ -95,7 +95,7 @@ def _encoder_cells(d: int, n: int):
     if g * g != n:
         raise ConfigError(f"token count must be a perfect square, got {n}")
     shape = (3, 2 * g, 2 * g)
-    blocks = 3
+    blocks = ToyViTEncoder.num_blocks
     cells = []
     for il in (0, blocks // 2, blocks):
         cells.append(
@@ -103,12 +103,7 @@ def _encoder_cells(d: int, n: int):
                 "vit",
                 il,
                 lambda il=il, seed=0: ToyViTEncoder(
-                    image_shape=shape,
-                    patch_grid=(g, g),
-                    dim=d,
-                    num_blocks=blocks,
-                    insertion_layer=il,
-                    seed=seed,
+                    image_shape=shape, dim=d, insertion_layer=il, seed=seed
                 ),
             )
         )

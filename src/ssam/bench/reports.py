@@ -22,8 +22,6 @@ from ..association import association_map
 from ..encoders import usable_cores
 from ..errors import ConfigError, SsamError
 
-THREADS_ENV = "SSAM_THREADS"
-
 # the (alpha, beta) grid the ablation sweep defaults to
 DEFAULT_GRID = (0.1, 0.2, 0.5, 1.0, 2.0)
 
@@ -82,8 +80,8 @@ class ReportBundle:
     projection_pre: np.ndarray
     projection_post: np.ndarray
     labels: np.ndarray
-    association_pre: np.ndarray = None  # per-image rows behind the heatmaps
-    association_post: np.ndarray = None
+    association_pre: np.ndarray  # per-image rows behind the heatmaps
+    association_post: np.ndarray
 
 
 def run_experiment(encoder, dataset, emb, cfg: AdaptConfig) -> ReportBundle:
@@ -139,10 +137,6 @@ def run_experiment(encoder, dataset, emb, cfg: AdaptConfig) -> ReportBundle:
 # CSV emission
 
 
-def _writer(fh):
-    return csv.writer(fh, lineterminator="\n")
-
-
 def _fmt(v):
     # repr keeps full float precision and is stable across runs
     return repr(float(v)) if isinstance(v, (float, np.floating)) else v
@@ -150,7 +144,7 @@ def _fmt(v):
 
 def _write_rows(path, header, rows):
     with open(path, "w", newline="") as fh:
-        w = _writer(fh)
+        w = csv.writer(fh, lineterminator="\n")
         w.writerow(header)
         for row in rows:
             w.writerow([_fmt(v) for v in row])
@@ -211,17 +205,6 @@ def write_report(bundle: ReportBundle, out_dir, per_image: bool = False) -> list
 # ablation
 
 
-def _thread_count() -> int:
-    raw = os.environ.get(THREADS_ENV, "0") or "0"
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ConfigError(f"{THREADS_ENV} must be an integer, got {raw!r}") from None
-    if n <= 0:
-        n = usable_cores()
-    return n
-
-
 def ablation_cells(base_cfg: AdaptConfig, grid_alpha=None, grid_beta=None) -> list:
     """Loss-mask rows first (which components are live), then the full
     (alpha, beta) grid. Masked rows reuse the base weights."""
@@ -254,9 +237,11 @@ def run_ablation(
     """One row per (cell, seed). Every cell runs every seed, and each
     distinct (alpha, beta, seed) runs once: rows that share it, such as
     ``full`` and the grid's base weights, copy one run whatever their mask
-    label. Execution order never affects results: each task owns its
-    config and the encoder is immutable. A stream that raises re-raises
-    its error, of the same type, naming the first cell that needed it."""
+    label. The streams run on a pool of one worker per usable core (an
+    affinity mask narrows it). Execution order never affects results:
+    each task owns its config and the encoder is immutable. A stream that
+    raises re-raises its error, of the same type, naming the first cell
+    that needed it."""
     if seeds < 1:
         raise ConfigError(f"need at least 1 seed, got {seeds}")
     rows = [
@@ -282,7 +267,7 @@ def run_ablation(
             "online_accuracy": rep.online_accuracy,
         }
 
-    with ThreadPoolExecutor(max_workers=_thread_count()) as pool:
+    with ThreadPoolExecutor(max_workers=usable_cores()) as pool:
         runs = dict(zip(streams, pool.map(run_one, streams)))
     return [dict(r, **runs[r["alpha"], r["beta"], r["seed"]]) for r in rows]
 

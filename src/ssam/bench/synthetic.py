@@ -183,17 +183,9 @@ class GeneratedBenchmark:
 def default_encoder(family: str, image_shape, insertion_layer: int = 0):
     """The fixed per-family encoder every benchmark run uses (seeded
     construction; the adapter is the only thing that ever changes)."""
-    c, h, w = image_shape
     if family == "vit":
-        if h % 2 or w % 2:
-            raise ConfigError(f"vit default needs even image dims, got {h}x{w}")
         return ToyViTEncoder(
-            image_shape=(c, h, w),
-            patch_grid=(h // 2, w // 2),
-            dim=16,
-            num_blocks=3,
-            insertion_layer=insertion_layer,
-            seed=0,
+            image_shape=image_shape, dim=16, insertion_layer=insertion_layer, seed=0
         )
     if family == "conv":
         # the conv adapter always enters after the first conv
@@ -201,7 +193,7 @@ def default_encoder(family: str, image_shape, insertion_layer: int = 0):
             raise ConfigError(
                 f"the conv family has no insertion layer, got {insertion_layer} (use 0)"
             )
-        return ToyConvEncoder(image_shape=(c, h, w), dim=16, seed=0)
+        return ToyConvEncoder(image_shape=image_shape, dim=16, seed=0)
     raise ConfigError(f"encoder family must be one of {FAMILIES}, got {family!r}")
 
 

@@ -2,12 +2,13 @@
 
 Two miniature encoder families share one adapter interface: the adapter
 is a plain (N, D) float64 array, one learnable token per patch, zero
-from ``new_adapter``. The patch transformer splits the image into
-non-overlapping patches, maps each through a frozen linear embedding,
-and runs a stack of attention blocks; the adapter adds its tokens
+from ``new_adapter``. Both families tile the image into 2x2 patches
+(``patch_side``, a class constant), so both reject an odd image side.
+The patch transformer maps each patch through a frozen linear embedding
+and runs a stack of three attention blocks; the adapter adds its tokens
 immediately before a configurable block. The conv encoder runs a 3x3
-conv stack; each adapter token is tiled s x s and added to its spatial
-patch of the first feature map, so an s x s neighbourhood shares one
+conv stack; each adapter token is tiled 2x2 and added to its spatial
+patch of the first feature map, so a 2x2 neighbourhood shares one
 token. The conv stack runs batch-last: its feature maps are
 (C, H, W, B), the layout in which a block's im2col columns are one copy
 of a strided view of the padded input, in contiguous W*B runs, and each
@@ -271,42 +272,42 @@ class _FrozenEncoder:
 
 
 class ToyViTEncoder(_FrozenEncoder):
-    """Patch transformer at desk scale: linear patch embedding, then
-    ``num_blocks`` blocks of mean-centred single-head attention and a
-    2-layer tanh MLP, mean-pooled over tokens. No class token; pooling is
-    the token mean. The adapter is added to the running token matrix
-    immediately before block ``insertion_layer`` (``== num_blocks`` means
-    after the last block, before pooling), so the frozen prefix is the
-    patch embedding and the blocks before it. Blocks run on weights folded
-    once from the seeded ``blocks``, with ``P = I - 11^T/d`` the centring:
+    """Patch transformer at desk scale: linear embedding of the
+    ``patch_side`` x ``patch_side`` patches, then ``num_blocks`` blocks of
+    mean-centred single-head attention and a 2-layer tanh MLP, mean-pooled
+    over tokens. No class token; pooling is the token mean. The adapter is
+    added to the running token matrix immediately before block
+    ``insertion_layer`` (``== num_blocks`` means after the last block,
+    before pooling), so the frozen prefix is the patch embedding and the
+    blocks before it. Blocks run on weights folded once from the seeded
+    ``blocks``, with ``P = I - 11^T/d`` the centring:
     ``qk = d^-1/2 P wq wk^T P``, ``vo = P wv wo``, ``w1c = P w1``.
     ``weights_checksum`` hashes the seeded arrays only."""
 
     family = "vit"
+    patch_side = 2
+    num_blocks = 3
 
     def __init__(
         self,
         image_shape: tuple[int, int, int] = (3, 8, 8),
-        patch_grid: tuple[int, int] = (4, 4),
         dim: int = 16,
-        num_blocks: int = 3,
         insertion_layer: int = 0,
         seed: int = 0,
     ):
         c, h, w = image_shape
-        gr, gc = patch_grid
-        if h % gr or w % gc:
-            raise ConfigError(f"image {h}x{w} not divisible into a {gr}x{gc} patch grid")
-        if not 0 <= insertion_layer <= num_blocks:
+        s = self.patch_side
+        if h % s or w % s:
+            raise ConfigError(f"image {h}x{w} not divisible by patch side {s}")
+        if not 0 <= insertion_layer <= self.num_blocks:
             raise ConfigError(
-                f"insertion_layer {insertion_layer} outside [0, {num_blocks}]"
+                f"insertion_layer {insertion_layer} outside [0, {self.num_blocks}]"
             )
         self.image_shape = (c, h, w)
-        self.patch_grid = (gr, gc)
-        self.patch_shape = (h // gr, w // gc)
-        self.num_patches = gr * gc
+        self.patch_grid = (h // s, w // s)
+        self.patch_shape = (s, s)
+        self.num_patches = self.patch_grid[0] * self.patch_grid[1]
         self.dim = dim
-        self.num_blocks = num_blocks
         self.insertion_layer = insertion_layer
         self.seed = seed
 
@@ -314,7 +315,7 @@ class ToyViTEncoder(_FrozenEncoder):
         rng = np.random.default_rng(seed)
         self.w_embed = _freeze(rng.normal(0.0, patch_len**-0.5, (patch_len, dim)))
         self.blocks = []
-        for _ in range(num_blocks):
+        for _ in range(self.num_blocks):
             blk = {
                 "wq": rng.normal(0.0, dim**-0.5, (dim, dim)),
                 "wk": rng.normal(0.0, dim**-0.5, (dim, dim)),

@@ -392,13 +392,6 @@ def test_gradcheck_cli_bad_sizes(capsys):
     assert "token count" in capsys.readouterr().err
 
 
-def test_ablate_bad_thread_env_is_exit_1(tiny_data, monkeypatch, capsys):
-    monkeypatch.setenv("SSAM_THREADS", "abc")
-    assert main(["ablate", "--data", str(tiny_data), "--seeds", "1", "--steps", "1"]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and "SSAM_THREADS" in err
-
-
 @pytest.mark.parametrize(
     "flag, content",
     [

@@ -57,7 +57,7 @@ class TestPatchLayout:
 
     def test_top_left_block_first(self):
         img = np.arange(16, dtype=np.float64).reshape(1, 1, 4, 4)
-        enc = ToyViTEncoder(image_shape=(1, 4, 4), patch_grid=(2, 2), dim=4)
+        enc = ToyViTEncoder(image_shape=(1, 4, 4), dim=4)
         blocks = np.array(  # row-major over the grid
             [[0, 1, 4, 5], [2, 3, 6, 7], [8, 9, 12, 13], [10, 11, 14, 15]], dtype=np.float64
         )
@@ -66,24 +66,26 @@ class TestPatchLayout:
         np.testing.assert_allclose(p[0], blocks @ enc.w_embed, rtol=0, atol=1e-12)
 
     def test_constant_image_gives_identical_embeddings(self):
-        enc = ToyViTEncoder(image_shape=(3, 8, 8), patch_grid=(4, 4))
+        enc = ToyViTEncoder(image_shape=(3, 8, 8))
         p = enc.prefix(np.full((1, 3, 8, 8), 0.7))[0]
         assert p.shape == (16, 16)
         assert np.allclose(p, p[0], atol=1e-12)
 
     def test_prefix_at_layer_0_is_blocks_times_embedding(self):
-        enc = ToyViTEncoder(image_shape=(3, 8, 8), patch_grid=(2, 2))
-        imgs = np.random.default_rng(3).normal(size=(2, 3, 8, 8))
-        # patch (r, c) of image b is imgs[b, :, 4r:4r+4, 4c:4c+4], flattened
+        enc = ToyViTEncoder(image_shape=(3, 4, 6))
+        assert enc.patch_grid == (2, 3) and enc.patch_shape == (2, 2)
+        imgs = np.random.default_rng(3).normal(size=(2, 3, 4, 6))
+        # patch (r, c) of image b is imgs[b, :, 2r:2r+2, 2c:2c+2], flattened
         blocks = [
-            [imgs[b, :, 4 * r : 4 * r + 4, 4 * c : 4 * c + 4].ravel() for r in (0, 1) for c in (0, 1)]
+            [imgs[b, :, 2 * r : 2 * r + 2, 2 * c : 2 * c + 2].ravel() for r in (0, 1) for c in (0, 1, 2)]
             for b in (0, 1)
         ]
         assert np.allclose(enc.prefix(imgs), np.array(blocks) @ enc.w_embed)
 
     def test_indivisible_grid_rejected(self):
-        with pytest.raises(ConfigError):
-            ToyViTEncoder(image_shape=(3, 7, 8), patch_grid=(2, 2))
+        for shape in ((3, 7, 8), (3, 8, 5)):  # 2x2 patches need even sides
+            with pytest.raises(ConfigError, match="patch side 2"):
+                ToyViTEncoder(image_shape=shape)
 
     def test_golden_patch_embeddings(self):
         g = _load_golden("encoders_golden.json")
@@ -227,7 +229,7 @@ class TestEncode:
 
     def test_insertion_layer_out_of_range(self):
         with pytest.raises(ConfigError):
-            ToyViTEncoder(num_blocks=3, insertion_layer=4)
+            ToyViTEncoder(insertion_layer=4)
 
     def test_golden_features(self):
         g = _load_golden("encoders_golden.json")
@@ -265,8 +267,7 @@ class TestFrozenWeights:
 def _make_encoder(family, insertion):
     if family == "vit":
         return ToyViTEncoder(
-            image_shape=(3, 4, 4), patch_grid=(2, 2), dim=8,
-            num_blocks=3, insertion_layer=insertion, seed=4,
+            image_shape=(3, 4, 4), dim=8, insertion_layer=insertion, seed=4
         )
     return ToyConvEncoder(image_shape=(3, 4, 4), dim=8, seed=4)
 
@@ -703,8 +704,7 @@ def test_encode_batch_of_160_in_slices_is_one_pass_bit_for_bit(family, monkeypat
 def _split_cells():
     for il in range(4):
         yield ToyViTEncoder(
-            image_shape=(3, 4, 4), patch_grid=(2, 2), dim=8,
-            num_blocks=3, insertion_layer=il, seed=4,
+            image_shape=(3, 4, 4), dim=8, insertion_layer=il, seed=4
         )
     yield ToyConvEncoder(image_shape=(3, 4, 4), dim=8, seed=4)
 
@@ -734,10 +734,7 @@ def test_suffix_of_prefix_is_encode_batch(enc):
 def _oracle_vit(insertion):
     # H != W, a non-square grid and patch length (8) != D (6), so a
     # transposed grid or a mixed-up axis anywhere changes the features
-    return ToyViTEncoder(
-        image_shape=(2, 4, 6), patch_grid=(2, 3), dim=6,
-        num_blocks=3, insertion_layer=insertion, seed=8,
-    )
+    return ToyViTEncoder(image_shape=(2, 4, 6), dim=6, insertion_layer=insertion, seed=8)
 
 
 def _unfolded_features(enc, imgs, tokens):

@@ -237,7 +237,7 @@ def _component_closure(kind, enc, imgs, t):
 @pytest.mark.parametrize("kind", ["ent", "pir", "ca", "total"])
 def test_loss_gradients_match_finite_differences(family, kind):
     if family == "vit":
-        enc = ToyViTEncoder(image_shape=(3, 4, 4), patch_grid=(2, 2), dim=8, seed=1)
+        enc = ToyViTEncoder(image_shape=(3, 4, 4), dim=8, seed=1)
     else:
         enc = ToyConvEncoder(image_shape=(3, 4, 4), dim=8, seed=1)
     rng = np.random.default_rng(17)

@@ -1,6 +1,7 @@
 """The runtime depends on numpy and the standard library only, only the
-CLI touches the allocator, and only the conv helper and the ablation pool
-start threads, both through ThreadPoolExecutor."""
+CLI touches the allocator, only the conv helper and the ablation pool
+start threads, both through ThreadPoolExecutor, and no module reads the
+environment."""
 
 import ast
 import pathlib
@@ -89,4 +90,29 @@ def test_only_the_conv_helper_and_the_ablation_pool_use_threads():
                 and node.value.id in ("threading", "_thread")
             ):
                 offenders.append(f"{rel}:{node.lineno}: {node.value.id}.{node.attr}")
+    assert not offenders, offenders
+
+
+# what reads the process environment: os.environ, os.getenv and their
+# bytes forms, however they are imported
+ENV_READERS = {"environ", "environb", "getenv", "getenvb"}
+
+
+def test_no_module_reads_the_environment():
+    # a setting that an environment variable can change is a setting the
+    # tests and the report bytes were not checked under; the affinity mask
+    # is the one outside input that sizes the program's threads
+    offenders = []
+    for path, tree in _parsed_modules():
+        rel = path.relative_to(ROOT).as_posix()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "os":
+                offenders += [
+                    f"{rel}: from os import {a.name}"
+                    for a in node.names
+                    if a.name in ENV_READERS | {"*"}
+                ]
+            ident = getattr(node, "id", None) or getattr(node, "attr", None)
+            if ident in ENV_READERS:
+                offenders.append(f"{rel}:{node.lineno}: {ident}")
     assert not offenders, offenders

@@ -10,7 +10,7 @@ from ssam import numerics as num
 from ssam.adaptation import AdaptConfig, AdaptReport
 from ssam.bench.reports import ReportBundle, run_ablation
 from ssam.bench.synthetic import default_encoder
-from ssam.encoders import ToyConvEncoder
+from ssam.encoders import ToyConvEncoder, ToyViTEncoder
 from ssam.objectives import LossBreakdown, loss_ca, total_objective
 
 
@@ -23,7 +23,6 @@ def test_settings_are_pinned():
             "batch_size",
             "steps_per_batch",
             "mode",
-            "optimizer",
             "seed",
         ],
         LossBreakdown: ["l_ent", "l_pir", "l_ca", "total"],
@@ -59,6 +58,7 @@ def test_settings_are_pinned():
         run_ablation: ["encoder", "dataset", "emb", "base_cfg", "grid_alpha", "grid_beta", "seeds"],
         default_encoder: ["family", "image_shape", "insertion_layer"],
         ToyConvEncoder.__init__: ["self", "image_shape", "dim", "seed"],
+        ToyViTEncoder.__init__: ["self", "image_shape", "dim", "insertion_layer", "seed"],
         num.sum_axis: ["a", "axis"],
         num.mean_axis: ["a", "axis"],
     }
