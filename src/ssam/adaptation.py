@@ -113,11 +113,9 @@ class AdamOptimizer:
         return params - self.learning_rate * m_hat / (np.sqrt(v_hat) + self.EPS)
 
     def snapshot(self):
-        return (
-            self.t,
-            None if self.m is None else self.m.copy(),
-            None if self.v is None else self.v.copy(),
-        )
+        # step binds new moment arrays and never writes into the old ones,
+        # so the arrays themselves are a snapshot
+        return (self.t, self.m, self.v)
 
     def restore(self, snap) -> None:
         self.t, self.m, self.v = snap
@@ -140,8 +138,6 @@ def evaluate(encoder, images, labels, adapter, t):
     """A full pass: the (B, D) features of ``images`` under ``adapter``
     and the fraction whose predicted index equals the label."""
     labels = np.asarray(labels)
-    if len(labels) == 0:
-        raise ConfigError("evaluate needs a nonempty batch")
     if len(labels) != len(images):
         raise ConfigError(f"evaluate got {len(labels)} labels for {len(images)} images")
     feats = num.value_of(encoder.encode_batch(images, adapter))
@@ -157,14 +153,11 @@ def adapt_batch(encoder, images, adapter, t, cfg: AdaptConfig, optimizer=None):
     re-raised; the returned tokens are never partially updated (the
     caller's adapter array is untouched either way).
     """
-    imgs = np.asarray(images, dtype=np.float64)
-    if imgs.shape[0] == 0:
-        raise ConfigError("adapt_batch needs a nonempty batch")
     if optimizer is None:
         optimizer = AdamOptimizer(cfg.learning_rate)
 
     # the frozen layers before the adapter see the same images every step
-    prefix = encoder.prefix(imgs)
+    prefix = encoder.prefix(images)
     history: list[LossBreakdown] = []
     snap = optimizer.snapshot()
 

@@ -100,8 +100,6 @@ def _build_parser() -> _Parser:
     c.add_argument("--m", type=int, default=4)
     c.add_argument("--d", type=int, default=16)
     c.add_argument("--n", type=int, default=9)
-    # negative control: force a named component to fail
-    c.add_argument("--corrupt", help=argparse.SUPPRESS)
     c.set_defaults(func=_cmd_gradcheck)
     return p
 
@@ -167,9 +165,7 @@ def _cmd_ablate(args) -> int:
 
 
 def _cmd_gradcheck(args) -> int:
-    report = gc.gradcheck_command(
-        seed=args.seed, batch=args.batch, m=args.m, d=args.d, n=args.n, corrupt=args.corrupt
-    )
+    report = gc.gradcheck_command(seed=args.seed, batch=args.batch, m=args.m, d=args.d, n=args.n)
     print(gc.format_report(report))
     return 0 if report.passed else 3
 

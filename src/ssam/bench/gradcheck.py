@@ -5,14 +5,11 @@ from central finite differences of the same closure evaluated on plain
 arrays (no tape involvement), so the two routes share no derivative
 code. Each component is checked over seeded instances spread across
 both encoder families and three adapter insertion points.
-
-``corrupt`` deliberately perturbs the analytic gradient of one named
-component so the failure path (nonzero exit, offending component named)
-stays exercised; it exists only for that negative control.
 """
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass
 
@@ -94,26 +91,14 @@ def _encoder_cells(d: int, n: int):
     g = int(round(np.sqrt(n)))
     if g * g != n:
         raise ConfigError(f"token count must be a perfect square, got {n}")
-    shape = (3, 2 * g, 2 * g)
+    side = ToyViTEncoder.patch_side * g
+    shape = (3, side, side)
     blocks = ToyViTEncoder.num_blocks
-    cells = []
-    for il in (0, blocks // 2, blocks):
-        cells.append(
-            (
-                "vit",
-                il,
-                lambda il=il, seed=0: ToyViTEncoder(
-                    image_shape=shape, dim=d, insertion_layer=il, seed=seed
-                ),
-            )
-        )
-    cells.append(
-        (
-            "conv",
-            None,
-            lambda seed=0: ToyConvEncoder(image_shape=shape, dim=d, seed=seed),
-        )
-    )
+    cells = [
+        ("vit", il, functools.partial(ToyViTEncoder, shape, d, il))
+        for il in (0, blocks // 2, blocks)
+    ]
+    cells.append(("conv", None, functools.partial(ToyConvEncoder, shape, d)))
     return shape, cells
 
 
@@ -123,14 +108,11 @@ def gradcheck_command(
     m: int = 4,
     d: int = 16,
     n: int = 9,
-    corrupt=None,
 ) -> GradcheckReport:
     for what, value, low, high in (("batch", batch, 1, MAX_BATCH), ("categories", m, 2, MAX_CATEGORIES),
                                    ("feature dim", d, 1, MAX_DIM), ("token count", n, 1, MAX_TOKENS)):
         if not low <= value <= high:
             raise ConfigError(f"{what} must be in [{low}, {high}], got {value}")
-    if corrupt is not None and corrupt not in COMPONENTS:
-        raise ConfigError(f"corrupt target must be one of {COMPONENTS}, got {corrupt!r}")
 
     t0 = time.perf_counter()
     image_shape, cells = _encoder_cells(d, n)
@@ -147,8 +129,6 @@ def gradcheck_command(
             f = _component_closure(component, encoder, images, t)
             analytic = num.value_and_gradient(f, tokens0).gradient
             fd = num.finite_difference_gradient(f, tokens0)
-            if corrupt == component:
-                analytic = analytic + 0.01 * (np.abs(fd).max() + 1.0)
             err = _rel_err(analytic, fd)
             key = (family, il)
             worst[key] = max(worst.get(key, 0.0), err)

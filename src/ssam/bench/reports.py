@@ -74,7 +74,7 @@ def class_dispersion(features: np.ndarray, labels: np.ndarray, m: int) -> float:
 @dataclass
 class ReportBundle:
     summary: dict
-    loss_curve: list  # one dict per optimizer step
+    loss_curve: list  # the run's LossBreakdown, one per optimizer step
     heatmap_pre: np.ndarray
     heatmap_post: np.ndarray
     projection_pre: np.ndarray
@@ -110,19 +110,9 @@ def run_experiment(encoder, dataset, emb, cfg: AdaptConfig) -> ReportBundle:
         "dispersion_post": class_dispersion(feats_post, labels, m),
         "adapter_checksum": report.adapter_checksum,
     }
-    curve = [
-        {
-            "step": i,
-            "l_ent": b.l_ent,
-            "l_pir": b.l_pir,
-            "l_ca": b.l_ca,
-            "total": b.total,
-        }
-        for i, b in enumerate(report.history)
-    ]
     return ReportBundle(
         summary=summary,
-        loss_curve=curve,
+        loss_curve=report.history,
         heatmap_pre=class_average_heatmap(assoc_pre, labels, m),
         heatmap_post=class_average_heatmap(assoc_post, labels, m),
         projection_pre=pca_projection(feats_pre),
@@ -172,7 +162,7 @@ def write_report(bundle: ReportBundle, out_dir, per_image: bool = False) -> list
     _write_rows(
         dest("loss_curve.csv"),
         ["step", "l_ent", "l_pir", "l_ca", "total"],
-        [(r["step"], r["l_ent"], r["l_pir"], r["l_ca"], r["total"]) for r in bundle.loss_curve],
+        [(i, b.l_ent, b.l_pir, b.l_ca, b.total) for i, b in enumerate(bundle.loss_curve)],
     )
     m = bundle.heatmap_pre.shape[0]
     head = ["class"] + [f"category_{j}" for j in range(m)]

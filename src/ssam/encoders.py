@@ -2,8 +2,10 @@
 
 Two miniature encoder families share one adapter interface: the adapter
 is a plain (N, D) float64 array, one learnable token per patch, zero
-from ``new_adapter``. Both families tile the image into 2x2 patches
-(``patch_side``, a class constant), so both reject an odd image side.
+from ``new_adapter``. Both families tile the image into 2x2 patches, and
+their base class owns that geometry: the ``patch_side`` constant, the
+``grid`` of patches and the ``adapter_shape``, set by the one
+constructor, which rejects an odd image side.
 The patch transformer maps each patch through a frozen linear embedding
 and runs a stack of three attention blocks; the adapter adds its tokens
 immediately before a configurable block. The conv encoder runs a 3x3
@@ -27,7 +29,7 @@ evaluation path and the reverse-mode gradient path. Each encoder splits
 at the adapter into a frozen ``prefix`` (plain arrays, once per batch)
 and a ``suffix`` on the tape; ``encode_batch`` composes the two, and
 off the tape takes more than 64 images in slices of 64. Encoders take
-image batches only, (B, C, H, W).
+image batches only, (B, C, H, W) with B >= 1.
 """
 
 from __future__ import annotations
@@ -165,8 +167,6 @@ def tile_tokens(tokens, grid: tuple[int, int], s: int):
     gh, gw = grid
     tv = num.value_of(tokens)
     n, d = tv.shape
-    if n != gh * gw:
-        raise DimensionError(f"tile_tokens: {n} tokens cannot fill a {gh}x{gw} grid")
     planes = tv.reshape(gh, gw, d).transpose(2, 0, 1)
     out = np.repeat(np.repeat(planes, s, axis=1), s, axis=2)
 
@@ -227,10 +227,25 @@ class _FrozenEncoder:
     takes several steps on one batch computes it once.
     ``suffix(prefix, adapter)`` adds the adapter and runs the rest of the
     forward pass on the tape. ``encode_batch`` is the one composed with
-    the other. Subclasses set ``image_shape``, ``dim`` and
-    ``adapter_shape`` and yield their frozen arrays from
-    ``_weight_arrays``.
+    the other. The constructor owns the geometry both families share:
+    it checks the image against ``patch_side`` and sets ``image_shape``,
+    ``dim``, ``seed``, the (H/2, W/2) patch ``grid`` and the (N, D)
+    ``adapter_shape``. Subclasses draw their weights after it and yield
+    their frozen arrays from ``_weight_arrays``.
     """
+
+    patch_side = 2
+
+    def __init__(self, image_shape: tuple[int, int, int], dim: int, seed: int):
+        c, h, w = image_shape
+        s = self.patch_side
+        if h % s or w % s:
+            raise ConfigError(f"image {h}x{w} not divisible by patch side {s}")
+        self.image_shape = (c, h, w)
+        self.dim = dim
+        self.seed = seed
+        self.grid = (h // s, w // s)
+        self.adapter_shape = (self.grid[0] * self.grid[1], dim)
 
     def encode_batch(self, images, adapter):
         """Encode (B, C, H, W) images to (B, D) features; differentiable in
@@ -266,6 +281,8 @@ class _FrozenEncoder:
             raise DimensionError(
                 f"expected images shaped {(None,) + self.image_shape}, got {arr.shape}"
             )
+        if len(arr) == 0:
+            raise ConfigError("encoders need a nonempty batch")
         if not np.all(np.isfinite(arr)):
             raise NumericError("images contain non-finite values")
         return arr
@@ -285,7 +302,6 @@ class ToyViTEncoder(_FrozenEncoder):
     ``weights_checksum`` hashes the seeded arrays only."""
 
     family = "vit"
-    patch_side = 2
     num_blocks = 3
 
     def __init__(
@@ -295,23 +311,14 @@ class ToyViTEncoder(_FrozenEncoder):
         insertion_layer: int = 0,
         seed: int = 0,
     ):
-        c, h, w = image_shape
-        s = self.patch_side
-        if h % s or w % s:
-            raise ConfigError(f"image {h}x{w} not divisible by patch side {s}")
+        super().__init__(image_shape, dim, seed)
         if not 0 <= insertion_layer <= self.num_blocks:
             raise ConfigError(
                 f"insertion_layer {insertion_layer} outside [0, {self.num_blocks}]"
             )
-        self.image_shape = (c, h, w)
-        self.patch_grid = (h // s, w // s)
-        self.patch_shape = (s, s)
-        self.num_patches = self.patch_grid[0] * self.patch_grid[1]
-        self.dim = dim
         self.insertion_layer = insertion_layer
-        self.seed = seed
 
-        patch_len = c * self.patch_shape[0] * self.patch_shape[1]
+        patch_len = image_shape[0] * self.patch_side**2
         rng = np.random.default_rng(seed)
         self.w_embed = _freeze(rng.normal(0.0, patch_len**-0.5, (patch_len, dim)))
         self.blocks = []
@@ -336,22 +343,17 @@ class ToyViTEncoder(_FrozenEncoder):
             for blk in self.blocks
         ]
 
-    @property
-    def adapter_shape(self) -> tuple[int, int]:
-        return (self.num_patches, self.dim)
-
     def _weight_arrays(self):
         yield self.w_embed
         for blk in self.blocks:  # wq, wk, wv, wo, w1, w2
             yield from blk.values()
 
     def _blocks_of(self, imgs: np.ndarray) -> np.ndarray:
-        b = imgs.shape[0]
-        c, h, w = self.image_shape
-        gr, gc = self.patch_grid
-        ph, pw = self.patch_shape
-        x = imgs.reshape(b, c, gr, ph, gc, pw).transpose(0, 2, 4, 1, 3, 5)
-        return x.reshape(b, gr * gc, c * ph * pw)
+        b, c = imgs.shape[:2]
+        gr, gc = self.grid
+        s = self.patch_side
+        x = imgs.reshape(b, c, gr, s, gc, s).transpose(0, 2, 4, 1, 3, 5)
+        return x.reshape(b, gr * gc, c * s * s)
 
     @staticmethod
     def _block_forward(x, blk):
@@ -386,27 +388,14 @@ class ToyConvEncoder(_FrozenEncoder):
     ``patch_side`` x ``patch_side`` patch of that map."""
 
     family = "conv"
-    patch_side = 2
 
     def __init__(self, image_shape: tuple[int, int, int] = (3, 8, 8), dim: int = 16, seed: int = 0):
-        c, h, w = image_shape
-        s = self.patch_side
-        if h % s or w % s:
-            raise ConfigError(f"image {h}x{w} not divisible by adapter patch side {s}")
-        self.image_shape = (c, h, w)
-        self.dim = dim
-        self.grid = (h // s, w // s)
-        self.num_tokens = self.grid[0] * self.grid[1]
-        self.seed = seed
-
+        super().__init__(image_shape, dim, seed)
+        c = image_shape[0]
         rng = np.random.default_rng(seed)
         self.w1 = _freeze(rng.normal(0.0, (c * 9) ** -0.5, (dim, c, 3, 3)))
         self.w2 = _freeze(rng.normal(0.0, (dim * 9) ** -0.5, (dim, dim, 3, 3)))
         self.w3 = _freeze(rng.normal(0.0, (dim * 9) ** -0.5, (dim, dim, 3, 3)))
-
-    @property
-    def adapter_shape(self) -> tuple[int, int]:
-        return (self.num_tokens, self.dim)
 
     def _weight_arrays(self):
         return (self.w1, self.w2, self.w3)

@@ -397,7 +397,7 @@ def test_missing_companion_embeddings_is_config_error(tmp_path):
 def test_default_encoder_families():
     vit = syn.default_encoder("vit", (3, 8, 8), insertion_layer=2)
     assert vit.family == "vit"
-    assert vit.patch_grid == (4, 4)
+    assert vit.grid == (4, 4)
     assert vit.insertion_layer == 2
     conv = syn.default_encoder("conv", (3, 8, 8))
     assert conv.family == "conv"
@@ -609,18 +609,18 @@ def test_gradcheck_is_deterministic():
     assert [r.max_rel_err for r in a.rows] == [r.max_rel_err for r in b.rows]
 
 
-def test_gradcheck_corrupt_hook_names_component():
-    rep = gc.gradcheck_command(seed=0, batch=2, m=2, d=4, n=4, corrupt="ca")
+def test_gradcheck_corrupt_hook_names_component(broken_log_vjp):
+    rep = gc.gradcheck_command(seed=0, batch=2, m=2, d=4, n=4)
     assert not rep.passed
-    assert {r.component for r in rep.rows if not r.passed} == {"ca"}
+    assert {r.component for r in rep.rows if not r.passed} == {"ca", "total"}
     text = gc.format_report(rep)
     assert "FAIL" in text
-    assert "offending component(s): ca" in text
+    assert "offending component(s): ca, total" in text
 
 
 @pytest.mark.parametrize(
     "kw",
-    [dict(batch=17), dict(batch=0), dict(m=1), dict(m=9), dict(d=0), dict(d=33), dict(n=5), dict(corrupt="bogus"), dict(n=25)],
+    [dict(batch=17), dict(batch=0), dict(m=1), dict(m=9), dict(d=0), dict(d=33), dict(n=5), dict(n=0), dict(n=25)],
 )
 def test_gradcheck_size_validation(kw):
     with pytest.raises(ConfigError):

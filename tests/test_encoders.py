@@ -73,7 +73,7 @@ class TestPatchLayout:
 
     def test_prefix_at_layer_0_is_blocks_times_embedding(self):
         enc = ToyViTEncoder(image_shape=(3, 4, 6))
-        assert enc.patch_grid == (2, 3) and enc.patch_shape == (2, 2)
+        assert enc.grid == (2, 3) and enc.patch_side == 2
         imgs = np.random.default_rng(3).normal(size=(2, 3, 4, 6))
         # patch (r, c) of image b is imgs[b, :, 2r:2r+2, 2c:2c+2], flattened
         blocks = [
@@ -83,9 +83,10 @@ class TestPatchLayout:
         assert np.allclose(enc.prefix(imgs), np.array(blocks) @ enc.w_embed)
 
     def test_indivisible_grid_rejected(self):
-        for shape in ((3, 7, 8), (3, 8, 5)):  # 2x2 patches need even sides
-            with pytest.raises(ConfigError, match="patch side 2"):
-                ToyViTEncoder(image_shape=shape)
+        for cls in (ToyViTEncoder, ToyConvEncoder):
+            for shape in ((3, 7, 8), (3, 8, 5)):  # 2x2 patches need even sides
+                with pytest.raises(ConfigError, match="patch side 2"):
+                    cls(image_shape=shape)
 
     def test_golden_patch_embeddings(self):
         g = _load_golden("encoders_golden.json")
@@ -219,6 +220,15 @@ class TestEncode:
         for imgs in (np.zeros((1, 3, 4, 4)), _test_image()):
             with pytest.raises(DimensionError):
                 enc.encode_batch(imgs, enc.new_adapter())
+
+    @pytest.mark.parametrize("cls", [ToyViTEncoder, ToyConvEncoder], ids=["vit", "conv"])
+    def test_empty_batch_is_config_error(self, cls):
+        enc = cls()
+        empty = np.zeros((0, 3, 8, 8))
+        with pytest.raises(ConfigError, match="nonempty"):
+            enc.encode_batch(empty, enc.new_adapter())
+        with pytest.raises(ConfigError, match="nonempty"):
+            enc.prefix(empty)
 
     def test_nonfinite_image_rejected(self):
         enc = ToyViTEncoder()
@@ -739,7 +749,7 @@ def _oracle_vit(insertion):
 
 def _unfolded_features(enc, imgs, tokens):
     return naive_vit_encoder(
-        imgs, enc.w_embed, enc.blocks, tokens, enc.patch_grid, enc.insertion_layer
+        imgs, enc.w_embed, enc.blocks, tokens, enc.grid, enc.insertion_layer
     )
 
 

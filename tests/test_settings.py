@@ -10,7 +10,7 @@ from ssam import numerics as num
 from ssam.adaptation import AdaptConfig, AdaptReport
 from ssam.bench.reports import ReportBundle, run_ablation
 from ssam.bench.synthetic import default_encoder
-from ssam.encoders import ToyConvEncoder, ToyViTEncoder
+from ssam.encoders import ToyConvEncoder, ToyViTEncoder, _FrozenEncoder
 from ssam.objectives import LossBreakdown, loss_ca, total_objective
 
 
@@ -57,6 +57,7 @@ def test_settings_are_pinned():
         num.finite_difference_gradient: ["objective", "params"],
         run_ablation: ["encoder", "dataset", "emb", "base_cfg", "grid_alpha", "grid_beta", "seeds"],
         default_encoder: ["family", "image_shape", "insertion_layer"],
+        _FrozenEncoder.__init__: ["self", "image_shape", "dim", "seed"],
         ToyConvEncoder.__init__: ["self", "image_shape", "dim", "seed"],
         ToyViTEncoder.__init__: ["self", "image_shape", "dim", "insertion_layer", "seed"],
         num.sum_axis: ["a", "axis"],
