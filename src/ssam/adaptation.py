@@ -74,8 +74,9 @@ class AdaptReport:
 
 
 class SgdOptimizer:
-    """Plain gradient descent, for a caller that passes it to
-    ``adapt_batch``; adaptation itself always runs Adam."""
+    """Plain gradient descent. Nothing in the package passes it to
+    ``adapt_batch``, which builds Adam; it is kept only because the
+    perfbench tracer binds ``SgdOptimizer.step`` by name."""
 
     def __init__(self, learning_rate: float):
         self.learning_rate = learning_rate

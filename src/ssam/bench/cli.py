@@ -198,10 +198,10 @@ def _pin_heap_thresholds() -> None:
 
 def _pin_blas_threads() -> None:
     """Run each OpenBLAS GEMM on one thread, whatever the environment
-    asked for, so the program's own threads use the cores: the conv
-    helper in a serial run and the pool in ``ablate``. OpenBLAS's setter,
-    under the name this build exports, is looked up in the library numpy
-    loaded; a BLAS without one is left alone."""
+    asked for, so the pool in ``ablate`` uses the cores and the reports
+    keep their bits. OpenBLAS's setter, under the name this build
+    exports, is looked up in the library numpy loaded; a BLAS without one
+    is left alone."""
     import ctypes
 
     mods = sys.modules  # numpy 2 keeps its core in numpy._core, numpy 1 in numpy.core

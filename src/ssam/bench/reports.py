@@ -19,11 +19,18 @@ import numpy as np
 from .. import numerics as num
 from ..adaptation import AdaptConfig, run_stream
 from ..association import association_map
-from ..encoders import usable_cores
 from ..errors import ConfigError, SsamError
 
 # the (alpha, beta) grid the ablation sweep defaults to
 DEFAULT_GRID = (0.1, 0.2, 0.5, 1.0, 2.0)
+
+
+def usable_cores() -> int:
+    """The cores this process may run on (its affinity mask where the
+    platform has one, else the CPU count)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def class_average_heatmap(assoc: np.ndarray, labels: np.ndarray, m: int) -> np.ndarray:

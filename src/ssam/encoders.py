@@ -15,11 +15,8 @@ token. The conv stack runs batch-last: its feature maps are
 (C, H, W, B), the layout in which a block's im2col columns are one copy
 of a strided view of the padded input, in contiguous W*B runs, and each
 conv's GEMM output is already the next layer's input. Each conv cuts
-its output rows into blocks for two threads, whose im2col columns fit a
-fixed budget. A conv of several blocks on the main thread of a process
-with a second core shares them with a one-worker executor started on
-first use, so a serial ``ssam adapt``, whose CLI runs BLAS on one
-thread, runs its large convs on two cores.
+its output rows into blocks whose im2col columns fit a fixed budget and
+runs them in one loop on the calling thread, through one column buffer.
 
 Weights are drawn from a seeded generator at construction, marked
 read-only, and never change afterwards; adaptation only ever touches the
@@ -34,12 +31,7 @@ image batches only, (B, C, H, W) with B >= 1.
 
 from __future__ import annotations
 
-import functools
 import hashlib
-import itertools
-import os
-import threading
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -51,28 +43,9 @@ from .errors import ConfigError, DegenerateInputError, DimensionError, NumericEr
 # batched graph ops (images are constants; only adapter tokens carry grad)
 
 
-# bytes of im2col columns a _conv3x3 call may hold, across both threads;
-# a single output row that needs more still runs, as one row per block
-_COLS_BYTES = 4 << 20
-
-
-def usable_cores() -> int:
-    """The cores this process may run on (its affinity mask where the
-    platform has one, else the CPU count)."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-@functools.cache
-def _helper() -> ThreadPoolExecutor:
-    """The one-worker executor that shares the main thread's large convs,
-    started by the first conv that shares."""
-    return ThreadPoolExecutor(1, thread_name_prefix="ssam-conv")
-
-
-# a forked child has none of its parent's threads: it starts its own worker
-os.register_at_fork(after_in_child=_helper.cache_clear)
+# bytes of im2col columns a _conv3x3 call may hold; a single output row
+# that needs more still runs, as one row per block
+_COLS_BYTES = 2 << 20
 
 
 def _conv3x3(x: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -85,28 +58,22 @@ def _conv3x3(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     b), so the whole array is one strided (C, 3, 3, H, W, B) view of the
     padded input, and each block fills its columns with one copy of its
     rows of that view, whose innermost runs are W*B contiguous floats.
-    H is cut for two threads: into the fewest near-equal blocks whose
-    columns fit ``_COLS_BYTES // 2``, rounded up to an even count (at
-    most H) when there is more than one, and each block's GEMM writes
-    straight into its rows of the output. So the partition depends on the
-    shapes and the budget only, never on the environment, the core count
-    or the calling thread. Every output entry is the same dot product
-    whatever the blocking. BLAS may still round an entry differently when
-    the blocking, or its own threading, moves it into its edge kernel for
-    leftover columns; with OpenBLAS the result matches a one-block run bit
-    for bit when W*B is a multiple of 8, and the CLI runs OpenBLAS on one
-    thread so that its reports never depend on the inherited thread
-    setting. A small conv, such as every one inside the finite-difference
-    loops, is one block.
-
-    A conv of more than one block, called on the main thread of a process
-    with two usable cores or more, submits its block loop to the helper
-    executor's one worker, runs the loop too, and waits for the job's
-    future; each thread claims the next block from one counter and fills
-    its own column buffer. The blocks and their GEMMs are the same either
-    way, so the output does not depend on which thread ran a block. A
-    worker error re-raises here unless the caller raised first. Other
-    threads (the ablation pool's) run every block inline.
+    H is cut into the fewest near-equal blocks whose columns fit
+    ``_COLS_BYTES``, rounded up to an even count (at most H) when there
+    is more than one. The blocks run in one loop on the calling thread,
+    through one column buffer, and each block's GEMM writes straight into
+    its rows of the output. The even count keeps the bits of every
+    committed report on every shape, since they were made with it, and a
+    serial conv stream ran about 4 % faster with it than with the fewest
+    blocks that fit 4 MiB. The partition depends on the shapes and the
+    budget only, never on the environment. Every output entry is the same
+    dot product whatever the blocking. BLAS may still round an entry
+    differently when the blocking, or its own thread split, moves it into
+    its edge kernel for leftover columns; with OpenBLAS the result matches
+    a one-block run bit for bit when W*B is a multiple of 8, and the CLI
+    runs OpenBLAS on one thread so that its reports never depend on the
+    inherited thread setting. A small conv, such as every one inside the
+    finite-difference loops, is one block.
     """
     cin, h, wd, bsz = x.shape
     dout, k, row = w.shape[0], cin * 9, wd * bsz
@@ -114,32 +81,19 @@ def _conv3x3(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     pad[:, 1:-1, 1:-1] = x
     s0, s1, s2, s3 = pad.strides
     taps = np.ndarray((cin, 3, 3, h, wd, bsz), buffer=pad, strides=(s0, s1, s2, s1, s2, s3))
-    nblocks = -(-h // max(1, _COLS_BYTES // 2 // (k * row * 8)))
+    nblocks = -(-h // max(1, _COLS_BYTES // (k * row * 8)))
     if nblocks > 1:
         nblocks = min(h, nblocks + nblocks % 2)
-    size = k * -(-h // nblocks) * row
     wm = w.reshape(dout, k)
     out = np.empty((dout, h * row))
-    claim = itertools.count()
-
-    def job(buf):
-        for i in claim:
-            if i >= nblocks:
-                return
-            a, b = i * h // nblocks, (i + 1) * h // nblocks
-            cols = buf[: k * (b - a) * row].reshape(cin, 3, 3, b - a, wd, bsz)
-            cols[...] = taps[:, :, :, a:b]
-            np.matmul(wm, cols.reshape(k, (b - a) * row), out=out[:, a * row : b * row])
-
-    if nblocks > 1 and threading.current_thread() is threading.main_thread() and usable_cores() > 1:
-        theirs = _helper().submit(job, np.empty(size))
-        try:
-            job(np.empty(size))
-        finally:
-            theirs.exception()  # waits, raising none of the worker's errors over the caller's
-        theirs.result()
-    else:
-        job(np.empty(size))
+    # the buffer after the output, so that it is freed at the heap top:
+    # the other order raised adapt-conv's peak RSS by about 0.35 MB
+    buf = np.empty(k * -(-h // nblocks) * row)
+    for i in range(nblocks):
+        a, b = i * h // nblocks, (i + 1) * h // nblocks
+        cols = buf[: k * (b - a) * row].reshape(cin, 3, 3, b - a, wd, bsz)
+        cols[...] = taps[:, :, :, a:b]
+        np.matmul(wm, cols.reshape(k, (b - a) * row), out=out[:, a * row : b * row])
     return out.reshape(dout, h, wd, bsz)
 
 

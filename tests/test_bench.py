@@ -15,7 +15,8 @@ from ssam.adaptation import AdaptConfig, evaluate
 from ssam.association import association_map
 from ssam.bench import gradcheck as gc
 from ssam.bench import reports, synthetic as syn
-from ssam.encoders import embed_categories, usable_cores
+from ssam.bench.reports import usable_cores
+from ssam.encoders import embed_categories
 from ssam.errors import ConfigError, FormatError, GenerationQualityError
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"

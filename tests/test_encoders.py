@@ -3,12 +3,9 @@
 import json
 import os
 import pathlib
-import signal
 import subprocess
 import sys
 import tempfile
-import threading
-import time
 import tracemalloc
 
 import numpy as np
@@ -307,7 +304,7 @@ def test_encode_gradient_matches_finite_differences(family, insertion):
 def test_conv3x3_same_matches_naive_loops(shape, dout):
     # cin != dout and H != W, so a swapped channel axis or a transposed
     # spatial grid cannot pass; B = 1 catches a batch axis folded wrongly.
-    # The helper runs batch-last, (C, H, W, B); the oracle takes (B, C, H, W).
+    # The conv runs batch-last, (C, H, W, B); the oracle takes (B, C, H, W).
     rng = np.random.default_rng(17)
     x = rng.normal(size=shape)
     w = rng.normal(size=(dout, shape[1], 3, 3))
@@ -342,10 +339,10 @@ def test_conv_encode_batch_matches_naive_loops():
 
 @pytest.mark.parametrize("rows", [0, 1, 2])
 def test_conv3x3_row_blocks_match_one_block(monkeypatch, rows):
-    # a column budget of `rows` forward rows per thread: below one row,
-    # one row (5 blocks of 1) and two rows (an even count of 4 blocks: 1,
-    # 1, 1, 2). The VJP's rows are twice as wide (cin 6), so it runs one
-    # row per block in every case.
+    # a column budget of `rows` forward rows: below one row, one row (5
+    # blocks of 1) and two rows (an even count of 4 blocks: 1, 1, 1, 2).
+    # The VJP's rows are twice as wide (cin 6), so it runs one row per
+    # block in every case.
     # W*B = 8 keeps each block's columns off OpenBLAS's edge kernel.
     rng = np.random.default_rng(21)
     x = rng.normal(size=(2, 3, 5, 4))  # (B, C, H, W)
@@ -359,7 +356,7 @@ def test_conv3x3_row_blocks_match_one_block(monkeypatch, rows):
         return num.value_of(out), vjp(g_bl)
 
     y1, gx1 = forward_and_vjp()
-    monkeypatch.setattr(encoders, "_COLS_BYTES", 2 * rows * 3 * 9 * 4 * 2 * 8)
+    monkeypatch.setattr(encoders, "_COLS_BYTES", rows * 3 * 9 * 4 * 2 * 8)
     y, gx = forward_and_vjp()
     assert np.array_equal(y, y1) and np.array_equal(gx, gx1)
     assert rel_err(y.transpose(3, 0, 1, 2), naive_conv3x3_same(x, w)) <= 1e-12
@@ -384,295 +381,23 @@ def test_conv3x3_temporaries_stay_within_the_column_budget():
     assert peak <= pad_bytes + out_bytes + encoders._COLS_BYTES
 
 
-class _NumpyWithMatmul:
-    """numpy with ``matmul`` replaced, to steer the conv's two threads."""
-
-    def __init__(self, matmul):
-        self.matmul = matmul
-
-    def __getattr__(self, name):
-        return getattr(np, name)
-
-
-def _on_main():
-    return threading.current_thread() is threading.main_thread()
-
-
-def _force_helper(monkeypatch, on):
-    # the helper runs exactly when the process may use a second core
-    monkeypatch.setattr(encoders, "usable_cores", lambda: 2 if on else 1)
-
-
-def _hidden_conv(shape):
-    x = np.random.default_rng(31).normal(size=shape)
-    w = np.random.default_rng(32).normal(size=(16, shape[0], 3, 3))
-    return x, w
-
-
-def _count_handoffs(monkeypatch):
-    # the name of the thread behind each job handed to the helper executor
-    calls = []
-    helper = encoders._helper()
-    submit = helper.submit
-
-    def counted(*args):
-        calls.append(threading.current_thread().name)
-        return submit(*args)
-
-    monkeypatch.setattr(helper, "submit", counted)
-    return calls
-
-
-# W*B = 512, 1280 and 630: the last is not a multiple of 8, so some of its
-# blocks run on OpenBLAS's edge kernel
-@pytest.mark.parametrize("shape", [(16, 8, 8, 64), (16, 8, 8, 160), (16, 10, 10, 63)])
-def test_conv3x3_helper_changes_no_bit(monkeypatch, shape):
-    x, w = _hidden_conv(shape)
-    g = np.random.default_rng(33).normal(size=(16,) + shape[1:])
-    handoffs = _count_handoffs(monkeypatch)
-
-    def forward_and_vjp(helper):
-        _force_helper(monkeypatch, helper)
-        out = encoders._conv3x3_same(num.leaf(x), w)
-        ((_, vjp),) = out._edges
-        return num.value_of(out), vjp(g)
-
-    y1, gx1 = forward_and_vjp(False)
-    assert handoffs == []
-    y2, gx2 = forward_and_vjp(True)
-    assert len(handoffs) == 2  # the forward and the VJP
-    assert np.array_equal(y1, y2) and np.array_equal(gx1, gx2)
-
-
-def test_conv3x3_off_the_main_thread_never_hands_off(monkeypatch):
-    _force_helper(monkeypatch, True)
-    handoffs = _count_handoffs(monkeypatch)
-    x, w = _hidden_conv((16, 8, 8, 64))
-    got = []
-    worker = threading.Thread(target=lambda: got.append(encoders._conv3x3(x, w)))
-    worker.start()
-    worker.join(60)
-    assert not worker.is_alive()
-    assert handoffs == [] and len(got) == 1
-    assert np.array_equal(got[0], encoders._conv3x3(x, w))
-    assert handoffs == ["MainThread"]
-
-
-def test_conv3x3_with_the_helper_stays_within_the_column_budget(monkeypatch):
-    # both threads' column buffers together: the budget is shared
-    _force_helper(monkeypatch, True)
-    x, w = _hidden_conv((16, 8, 8, 160))
-    encoders._conv3x3(x, w)  # the worker starts outside the traced window
-    handoffs = _count_handoffs(monkeypatch)
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        encoders._conv3x3(x, w)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-    assert handoffs == ["MainThread"]
-    assert peak <= x.nbytes * 100 // 64 + x.nbytes + encoders._COLS_BYTES  # pad + out
-
-
-def test_conv3x3_helper_under_thread_stress_loses_no_block(monkeypatch):
-    # main + helper + two inline workers on at most two cores, switching
-    # threads as often as the interpreter allows: a block claimed twice or
-    # never, or a call returning before the helper's block is written,
-    # leaves rows that differ from the inline result
-    cases = [_hidden_conv(s) for s in [(16, 8, 8, 64), (16, 10, 10, 63), (3, 8, 8, 160)]]
-    _force_helper(monkeypatch, False)
-    wants = [encoders._conv3x3(x, w) for x, w in cases]
-    _force_helper(monkeypatch, True)
-    handoffs = _count_handoffs(monkeypatch)
-    stop, wrong = threading.Event(), []
-
-    def inline_worker():
-        while not stop.is_set():
-            for (x, w), want in zip(cases, wants):
-                if not np.array_equal(encoders._conv3x3(x, w), want):
-                    wrong.append(threading.current_thread().name)
-
-    workers = [threading.Thread(target=inline_worker) for _ in range(2)]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for t in workers:
-            t.start()
-        deadline = time.monotonic() + 3
-        while time.monotonic() < deadline:
-            for (x, w), want in zip(cases, wants):
-                if not np.array_equal(encoders._conv3x3(x, w), want):
-                    wrong.append("MainThread")
-    finally:
-        stop.set()
-        sys.setswitchinterval(interval)
-        for t in workers:
-            t.join(60)
-    assert not any(t.is_alive() for t in workers)
-    assert wrong == []
-    assert len(handoffs) >= len(cases) and set(handoffs) == {"MainThread"}
-
-
-def test_conv3x3_helper_error_reraises_and_the_next_call_is_right(monkeypatch):
-    _force_helper(monkeypatch, True)
-    x, w = _hidden_conv((16, 8, 8, 64))
-    want = encoders._conv3x3(x, w)
-    entered = threading.Event()
-
-    def matmul(*args, **kw):
-        if _on_main():
-            assert entered.wait(10)  # the helper claims a block first
-            return np.matmul(*args, **kw)
-        entered.set()
-        raise FloatingPointError("helper block")
-
-    monkeypatch.setattr(encoders, "np", _NumpyWithMatmul(matmul))
-    with pytest.raises(FloatingPointError, match="helper block"):
-        encoders._conv3x3(x, w)
-    monkeypatch.setattr(encoders, "np", np)
-    handoffs = _count_handoffs(monkeypatch)
-    assert np.array_equal(encoders._conv3x3(x, w), want)
-    assert handoffs == ["MainThread"]
-
-
-def test_conv3x3_caller_error_wins_over_the_helpers(monkeypatch):
-    _force_helper(monkeypatch, True)
-    x, w = _hidden_conv((16, 8, 8, 64))
-    want = encoders._conv3x3(x, w)
-    entered, helper_raised = threading.Event(), threading.Event()
-
-    def matmul(*args, **kw):
-        if _on_main():
-            assert entered.wait(10)
-            raise ValueError("main block")
-        entered.set()
-        time.sleep(0.05)
-        helper_raised.set()
-        raise FloatingPointError("helper block")
-
-    monkeypatch.setattr(encoders, "np", _NumpyWithMatmul(matmul))
-    with pytest.raises(ValueError, match="main block"):
-        encoders._conv3x3(x, w)
-    assert helper_raised.is_set()  # the caller waited for the worker first
-    monkeypatch.setattr(encoders, "np", np)
-    assert np.array_equal(encoders._conv3x3(x, w), want)
-
-
-class _FirstWaitInterrupted:
-    """Stands in for the helper's ``submit``: the first wait on the first
-    future it hands out raises as a Ctrl-C arriving in that wait would."""
-
-    def __init__(self, submit):
-        self.submit, self.futures = submit, []
-
-    def __call__(self, *args):
-        future = self.submit(*args)
-        if not self.futures:
-            future.exception = self._interrupt
-        self.futures.append(future)
-        return future
-
-    @staticmethod
-    def _interrupt(timeout=None):
-        raise KeyboardInterrupt
-
-
-def test_conv3x3_interrupted_wait_never_lets_a_later_call_return_early(monkeypatch):
-    _force_helper(monkeypatch, True)
-    x, w = _hidden_conv((16, 8, 8, 64))
-    want = encoders._conv3x3(x, w)
-    helper = encoders._helper()
-    submit = _FirstWaitInterrupted(helper.submit)
-    monkeypatch.setattr(helper, "submit", submit)
-    entered, go_on = threading.Event(), threading.Event()
-    unwritten = []  # helper blocks claimed and not yet written
-
-    def matmul(*args, **kw):
-        if _on_main():
-            assert entered.wait(10)
-            return np.matmul(*args, **kw)
-        unwritten.append(args[1].shape)
-        entered.set()
-        assert go_on.wait(10)
-        time.sleep(0.05)
-        result = np.matmul(*args, **kw)
-        unwritten.pop()
-        return result
-
-    monkeypatch.setattr(encoders, "np", _NumpyWithMatmul(matmul))
-    with pytest.raises(KeyboardInterrupt):
-        encoders._conv3x3(x, w)
-    # the next call starts while the interrupted call's job still holds an
-    # unwritten block; it must return only once its own blocks are written
-    stale = submit.futures[0]
-    assert not stale.done() and unwritten
-    entered.clear()
-    go_on.set()
-    got = encoders._conv3x3(x, w)
-    assert unwritten == []
-    assert stale.done() and len(submit.futures) == 2
-    assert np.array_equal(got, want)
-
-
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-def test_conv3x3_runs_in_a_child_forked_after_a_large_conv(monkeypatch):
-    _force_helper(monkeypatch, True)
-    x, w = _hidden_conv((16, 8, 8, 64))
-    want = encoders._conv3x3(x, w)
-    assert encoders._helper.cache_info().currsize == 1  # the parent has a helper
-    parents = encoders._helper()
-    pid = os.fork()
-    if pid == 0:  # the child: exit 0 only on the right output from a new helper
-        code = 1
-        try:
-            fresh = encoders._helper.cache_info().currsize == 0
-            ok = np.array_equal(encoders._conv3x3(x, w), want)
-            code = 0 if fresh and ok and encoders._helper() is not parents else 1
-        finally:
-            os._exit(code)
-    deadline = time.monotonic() + 60
-    while True:
-        done, status = os.waitpid(pid, os.WNOHANG)
-        if done:
-            break
-        if time.monotonic() > deadline:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-            pytest.fail("the forked child's conv did not finish in 60 s")
-        time.sleep(0.01)
-    assert os.waitstatus_to_exitcode(status) == 0
-
-
-def test_a_process_that_shared_a_conv_exits_normally():
-    # the executor's worker is not a daemon: the interpreter joins it at
-    # exit, which must not hang. The helper shares under any inherited
-    # BLAS thread setting, so the child runs at OpenBLAS's default.
-    env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
-    env["PYTHONPATH"] = str(pathlib.Path(encoders.__file__).parents[1])
-    code = (
-        "import threading, numpy as np; from ssam import encoders\n"
-        "encoders.usable_cores = lambda: 2\n"
-        "x = np.ones((16, 8, 8, 64)); w = np.ones((16, 16, 3, 3))\n"
-        "assert encoders._conv3x3(x, w).shape == x.shape\n"
-        "print(*sorted(t.name for t in threading.enumerate()))\n"
-    )
-    start = time.monotonic()
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == ["MainThread", "ssam-conv_0"]
-    assert time.monotonic() - start < 30
-
-
 @pytest.mark.parametrize("blas", [None, "1", "2"])
 def test_import_reads_the_blas_setting_and_starts_no_thread(blas):
-    # whatever BLAS thread setting the process inherits, the helper starts
-    # with the first conv that shares, not at import
+    # whatever BLAS thread setting the process inherits, neither the import
+    # nor a conv of several row blocks, in a process with two usable cores,
+    # starts a thread
     env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
     env["PYTHONPATH"] = str(pathlib.Path(encoders.__file__).parents[1])
     if blas is not None:
         env["OPENBLAS_NUM_THREADS"] = blas
-    code = "import threading, ssam; print(threading.active_count())"
+    code = (
+        "import os, threading, numpy as np, ssam\n"
+        "from ssam import encoders\n"
+        "os.sched_getaffinity = lambda pid: {0, 1}\n"
+        "x = np.ones((16, 8, 8, 64)); w = np.ones((16, 16, 3, 3))\n"
+        "assert encoders._conv3x3(x, w).shape == x.shape\n"
+        "print(threading.active_count())\n"
+    )
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == ["1"]

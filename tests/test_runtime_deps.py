@@ -1,7 +1,6 @@
 """The runtime depends on numpy and the standard library only, only the
-CLI touches the allocator, only the conv helper and the ablation pool
-start threads, both through ThreadPoolExecutor, and no module reads the
-environment."""
+CLI touches the allocator, only the ablation pool starts threads, through
+ThreadPoolExecutor, and no module reads the environment."""
 
 import ast
 import pathlib
@@ -61,11 +60,10 @@ HAND_ROLLED = {
 }
 
 
-def test_only_the_conv_helper_and_the_ablation_pool_use_threads():
-    # encoders.py shares large convs with a one-worker executor and
+def test_only_the_ablation_pool_uses_threads():
     # bench/reports.py runs the ablation pool; any other thread is new
     # shared state the CSV byte-identity guarantees were never checked for
-    allowed = {"encoders.py", "bench/reports.py"}
+    allowed = {"bench/reports.py"}
     offenders = []
     for path, tree in _parsed_modules():
         rel = path.relative_to(ROOT).as_posix()
