@@ -10,7 +10,6 @@ whole stream, ``episodic`` mode restarts both for every batch.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass
 
@@ -18,7 +17,7 @@ import numpy as np
 
 from . import numerics as num
 from .errors import ConfigError, NumericError
-from .objectives import LossBreakdown, total_objective
+from .objectives import LossBreakdown, check_loss_weights, total_objective
 
 MODES = ("continual", "episodic")
 
@@ -37,12 +36,7 @@ class AdaptConfig:
     seed: int = 0
 
     def __post_init__(self):
-        # the chained tests are false for NaN; a NaN or infinite setting
-        # would otherwise fail only as a numeric error mid-adaptation
-        if not (0 <= self.alpha < math.inf and 0 <= self.beta < math.inf):
-            raise ConfigError(
-                f"loss weights must be finite and >= 0, got alpha={self.alpha} beta={self.beta}"
-            )
+        check_loss_weights(self.alpha, self.beta)
         # a zero rate is allowed as a measure-only mode (no-op updates)
         if not 0 <= self.learning_rate < math.inf:
             raise ConfigError(
@@ -60,35 +54,27 @@ class AdaptConfig:
 
 @dataclass
 class AdaptReport:
+    """One stream's results. ``features_pre`` and ``features_post`` are the
+    (N, D) stream features behind ``pre_accuracy`` and ``post_accuracy``."""
+
     history: list
     pre_accuracy: float
     post_accuracy: float
     online_accuracy: float
     adapter: np.ndarray  # the final (N, D) adapter tokens
-    adapter_checksum: str
-    num_batches: int
-    # (N, D) features of the whole stream under the zero adapter and the
-    # final one: the passes behind pre_accuracy and post_accuracy
     features_pre: np.ndarray
     features_post: np.ndarray
 
 
 class SgdOptimizer:
-    """Plain gradient descent. Nothing in the package passes it to
-    ``adapt_batch``, which builds Adam; it is kept only because the
-    perfbench tracer binds ``SgdOptimizer.step`` by name."""
+    """Plain gradient descent, ``step`` only. Nothing in the package uses
+    it; it stays because the perfbench tracer binds its ``step`` by name."""
 
     def __init__(self, learning_rate: float):
         self.learning_rate = learning_rate
 
     def step(self, params: np.ndarray, grad: np.ndarray) -> np.ndarray:
         return params - self.learning_rate * grad
-
-    def snapshot(self):
-        return None
-
-    def restore(self, snap) -> None:
-        pass
 
 
 class AdamOptimizer:
@@ -204,10 +190,8 @@ def run_stream(encoder, dataset, t, cfg: AdaptConfig) -> AdaptReport:
     optimizer = AdamOptimizer(cfg.learning_rate)
     history: list[LossBreakdown] = []
     online_hits = 0
-    num_batches = 0
     rng = np.random.default_rng(cfg.seed)
     for idx in _batches(n, cfg.batch_size, rng):
-        num_batches += 1
         if cfg.mode == "episodic":
             adapter = encoder.new_adapter()
             optimizer = AdamOptimizer(cfg.learning_rate)
@@ -217,15 +201,12 @@ def run_stream(encoder, dataset, t, cfg: AdaptConfig) -> AdaptReport:
         history.extend(bds)
 
     features_post, post_accuracy = evaluate(encoder, images, labels, adapter, t)
-    checksum = hashlib.sha256(adapter.tobytes()).hexdigest()
     return AdaptReport(
         history=history,
         pre_accuracy=pre_accuracy,
         post_accuracy=post_accuracy,
         online_accuracy=online_hits / n,
         adapter=adapter,
-        adapter_checksum=checksum,
-        num_batches=num_batches,
         features_pre=features_pre,
         features_post=features_post,
     )

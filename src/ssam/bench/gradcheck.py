@@ -109,6 +109,8 @@ def gradcheck_command(
     d: int = 16,
     n: int = 9,
 ) -> GradcheckReport:
+    if seed < 0:  # numpy's generators take seeds >= 0
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     for what, value, low, high in (("batch", batch, 1, MAX_BATCH), ("categories", m, 2, MAX_CATEGORIES),
                                    ("feature dim", d, 1, MAX_DIM), ("token count", n, 1, MAX_TOKENS)):
         if not low <= value <= high:

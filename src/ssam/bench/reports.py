@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import hashlib
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -33,10 +34,11 @@ def usable_cores() -> int:
     return os.cpu_count() or 1
 
 
-def class_average_heatmap(assoc: np.ndarray, labels: np.ndarray, m: int) -> np.ndarray:
+def class_average_heatmap(assoc: np.ndarray, labels: np.ndarray) -> np.ndarray:
     """M x M matrix: row i holds the mean of the (N, M) association rows
     (row-softmax of cosine) of the class-i images. A sharp diagonal means
     features sit near their own category."""
+    m = assoc.shape[1]
     out = np.zeros((m, m))
     for j in range(m):
         mask = labels == j
@@ -62,11 +64,10 @@ def pca_projection(features: np.ndarray) -> np.ndarray:
     return centered @ comps.T
 
 
-def class_dispersion(features: np.ndarray, labels: np.ndarray, m: int) -> float:
-    """Mean pairwise distance between class centroids."""
-    cents = np.stack(
-        [features[labels == j].mean(axis=0) for j in range(m) if (labels == j).any()]
-    )
+def class_dispersion(features: np.ndarray, labels: np.ndarray) -> float:
+    """Mean pairwise distance between the centroids of the classes present,
+    in ascending order (a set: numpy 2.4's first ``np.unique`` adds 1.2 MB RSS)."""
+    cents = np.stack([features[labels == j].mean(axis=0) for j in sorted(set(labels.tolist()))])
     k = cents.shape[0]
     if k < 2:
         return 0.0
@@ -113,15 +114,15 @@ def run_experiment(encoder, dataset, emb, cfg: AdaptConfig) -> ReportBundle:
         "pre_accuracy": report.pre_accuracy,
         "post_accuracy": report.post_accuracy,
         "online_accuracy": report.online_accuracy,
-        "dispersion_pre": class_dispersion(feats_pre, labels, m),
-        "dispersion_post": class_dispersion(feats_post, labels, m),
-        "adapter_checksum": report.adapter_checksum,
+        "dispersion_pre": class_dispersion(feats_pre, labels),
+        "dispersion_post": class_dispersion(feats_post, labels),
+        "adapter_checksum": hashlib.sha256(report.adapter.tobytes()).hexdigest(),
     }
     return ReportBundle(
         summary=summary,
         loss_curve=report.history,
-        heatmap_pre=class_average_heatmap(assoc_pre, labels, m),
-        heatmap_post=class_average_heatmap(assoc_post, labels, m),
+        heatmap_pre=class_average_heatmap(assoc_pre, labels),
+        heatmap_post=class_average_heatmap(assoc_post, labels),
         projection_pre=pca_projection(feats_pre),
         projection_post=pca_projection(feats_post),
         labels=labels,

@@ -17,6 +17,7 @@ A_norm and the prototype matrix P. ``total_objective`` returns the pair
 the components as floats, which hold no graph.
 """
 
+import math
 from dataclasses import dataclass
 
 from . import numerics as num
@@ -34,6 +35,12 @@ class LossBreakdown:
     l_pir: float
     l_ca: float
     total: float
+
+
+def check_loss_weights(alpha: float, beta: float) -> None:
+    """Reject a weight that is NaN, infinite or < 0 before it reaches the tape."""
+    if not (0 <= alpha < math.inf and 0 <= beta < math.inf):
+        raise ConfigError(f"loss weights must be finite and >= 0, got alpha={alpha} beta={beta}")
 
 
 def reconstruct(a, p):
@@ -82,8 +89,7 @@ def total_objective(v, t, alpha: float = 1.0, beta: float = 1.0):
     beta = 0 gives a total node identical to the entropy node. Component
     values are always reported.
     """
-    if alpha < 0 or beta < 0:
-        raise ConfigError(f"loss weights must be >= 0, got alpha={alpha} beta={beta}")
+    check_loss_weights(alpha, beta)
     a = association_map(v, t)
     p = estimate_prototypes(a, v)
     v_hat = reconstruct(a, p)

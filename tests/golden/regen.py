@@ -78,7 +78,7 @@ def regen_benchmark():
 
     def diag_mean(feats, labels, emb):
         assoc = num.value_of(association_map(feats, emb))
-        return float(np.diag(class_average_heatmap(assoc, labels, len(emb))).mean())
+        return float(np.diag(class_average_heatmap(assoc, labels)).mean())
 
     seeds = list(range(10))
     margins, pre, post, diag_pre, diag_post = [], [], [], [], []
@@ -88,12 +88,9 @@ def regen_benchmark():
         enc = default_encoder(DEFAULT_FAMILY, ds.image_shape)
         emb = bench.embeddings[DEFAULT_FAMILY]
         rep = run_stream(enc, ds, emb, AdaptConfig(seed=s))
-        images = np.asarray(ds.images, dtype=np.float64)
         labels = np.asarray(ds.labels, dtype=np.int64)
-        feats0 = num.value_of(enc.encode_batch(images, enc.new_adapter()))
-        feats1 = num.value_of(enc.encode_batch(images, rep.adapter))
-        diag_pre.append(diag_mean(feats0, labels, emb))
-        diag_post.append(diag_mean(feats1, labels, emb))
+        diag_pre.append(diag_mean(rep.features_pre, labels, emb))
+        diag_post.append(diag_mean(rep.features_post, labels, emb))
         pre.append(rep.pre_accuracy)
         post.append(rep.post_accuracy)
         margins.append(rep.post_accuracy - rep.pre_accuracy)

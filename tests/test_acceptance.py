@@ -281,16 +281,12 @@ def test_criterion_6_ablation_trend(default_runs):
 def test_criterion_7_diagnostics_trend(default_runs):
     diag_pre, diag_post = [], []
     for entry in default_runs["runs"]:
-        ds = entry["bench"].dataset
-        enc = entry["encoder"]
         emb = entry["bench"].embeddings[DEFAULT_FAMILY]
-        images = np.asarray(ds.images, dtype=np.float64)
-        labels = np.asarray(ds.labels, dtype=np.int64)
-        feats0 = num.value_of(enc.encode_batch(images, enc.new_adapter()))
-        feats1 = num.value_of(enc.encode_batch(images, entry["report"].adapter))
-        for feats, diag in ((feats0, diag_pre), (feats1, diag_post)):
+        labels = np.asarray(entry["bench"].dataset.labels, dtype=np.int64)
+        report = entry["report"]
+        for feats, diag in ((report.features_pre, diag_pre), (report.features_post, diag_post)):
             assoc = num.value_of(association_map(feats, emb))
-            grid = class_average_heatmap(assoc, labels, len(emb))
+            grid = class_average_heatmap(assoc, labels)
             diag.append(float(np.diag(grid).mean()))
     holds = sum(1 for a, b in zip(diag_pre, diag_post) if b >= a)
     _criterion(

@@ -183,19 +183,6 @@ class TestAdaptBatch:
             adapt_batch(enc, np.zeros((0,) + enc.image_shape), enc.new_adapter(), emb, AdaptConfig())
 
     @pytest.mark.filterwarnings("ignore:overflow")
-    def test_rollback_on_numeric_error(self):
-        enc, emb, imgs = _batch_setup()
-        # first step sends tokens to ~1e197, second forward overflows
-        cfg = AdaptConfig(steps_per_batch=2)
-        adapter = enc.new_adapter()
-        opt = SgdOptimizer(1e200)
-        snap_before = opt.snapshot()
-        with pytest.raises(NumericError):
-            adapt_batch(enc, imgs, adapter, emb, cfg, opt)
-        assert not adapter.any()  # caller state untouched
-        assert opt.snapshot() == snap_before
-
-    @pytest.mark.filterwarnings("ignore:overflow")
     def test_adam_overflow_in_the_update_is_a_numeric_error(self):
         # the first step moves every token by about the rate, to ~1.7e308;
         # the tanh after the adapter saturates, so the second forward stays
@@ -291,15 +278,14 @@ class TestRunStream:
         b = run_stream(enc, ds, emb, cfg)
         assert [x.total for x in a.history] == [x.total for x in b.history]
         assert a.post_accuracy == b.post_accuracy
-        assert a.adapter_checksum == b.adapter_checksum
+        assert a.adapter.tobytes() == b.adapter.tobytes()
 
     def test_history_length_invariant(self):
         enc, emb, _ = _batch_setup()
         ds = self._dataset(enc, n=20)
         cfg = AdaptConfig(batch_size=8, steps_per_batch=3)
         rep = run_stream(enc, ds, emb, cfg)
-        assert rep.num_batches == 3  # 8 + 8 + 4
-        assert len(rep.history) == rep.num_batches * cfg.steps_per_batch
+        assert len(rep.history) == 3 * cfg.steps_per_batch  # batches of 8 + 8 + 4
         # curve entries hold floats only, so they cannot pin a step's graph
         for b in rep.history:
             assert all(type(getattr(b, f.name)) is float for f in dataclasses.fields(b))

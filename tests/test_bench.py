@@ -420,7 +420,7 @@ def test_heatmap_rows_are_class_ordered_and_stochastic():
     feats = np.vstack([t, t[0]])  # one image per class plus an extra class-0 image
     labels = np.array([0, 1, 2, 0])
     assoc = num.value_of(association_map(feats, t))
-    grid = reports.class_average_heatmap(assoc, labels, 3)
+    grid = reports.class_average_heatmap(assoc, labels)
     assert grid.shape == (3, 3)
     np.testing.assert_allclose(grid.sum(axis=1), 1.0, atol=1e-9)
     assert np.all(np.argmax(grid, axis=1) == np.arange(3))
@@ -450,10 +450,10 @@ def test_pca_projection_pads_missing_components_with_zero(n, d):
 def test_class_dispersion_hand_value():
     feats = np.array([[0.0, 0.0], [0.0, 0.0], [3.0, 4.0], [3.0, 4.0]])
     labels = np.array([0, 0, 1, 1])
-    assert reports.class_dispersion(feats, labels, 2) == pytest.approx(5.0)
+    assert reports.class_dispersion(feats, labels) == pytest.approx(5.0)
     # three centroids: pairwise mean of (1, 1, 2) on a line
     feats3 = np.array([[0.0], [1.0], [2.0]])
-    assert reports.class_dispersion(feats3, np.array([0, 1, 2]), 3) == pytest.approx(4.0 / 3.0)
+    assert reports.class_dispersion(feats3, np.array([0, 1, 2])) == pytest.approx(4.0 / 3.0)
 
 
 def _tiny_run_inputs():
@@ -621,8 +621,9 @@ def test_gradcheck_corrupt_hook_names_component(broken_log_vjp):
 
 @pytest.mark.parametrize(
     "kw",
-    [dict(batch=17), dict(batch=0), dict(m=1), dict(m=9), dict(d=0), dict(d=33), dict(n=5), dict(n=0), dict(n=25)],
+    [dict(batch=17), dict(batch=0), dict(m=1), dict(m=9), dict(d=0), dict(d=33), dict(n=5), dict(n=0), dict(n=25),
+     dict(seed=-1)],
 )
 def test_gradcheck_size_validation(kw):
     with pytest.raises(ConfigError):
-        gc.gradcheck_command(seed=0, **kw)
+        gc.gradcheck_command(**{"seed": 0, **kw})

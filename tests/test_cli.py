@@ -87,7 +87,7 @@ def test_negative_seed_is_exit_1(tmp_path, tiny_data, capsys, command):
     }[command]
     assert main(argv) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error:") and "--seed must be >= 0, got -1" in err
+    assert err.startswith("error:") and "seed must be >= 0, got -1" in err
     assert not out.exists()
 
 

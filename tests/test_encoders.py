@@ -127,18 +127,18 @@ class TestAdapterVit:
 class TestAdapterConv:
     def test_zero_adapter_is_identity(self):
         f = np.random.default_rng(1).normal(size=(3, 4, 4, 1))
-        out = apply_adapter_conv(f, np.zeros((4, 3)), s=2)
+        out = apply_adapter_conv(f, np.zeros((4, 3)))
         assert np.array_equal(out, f)
 
     def test_single_token_fills_everything(self):
         t = np.array([[1.0, 2.0, 3.0]])
-        out = apply_adapter_conv(np.zeros((3, 2, 2, 1)), t, s=2)
+        out = apply_adapter_conv(np.zeros((3, 2, 2, 1)), t)
         for c in range(3):
             assert np.all(out[c] == t[0, c])
 
     def test_quadrant_layout(self):
         tokens = np.arange(1.0, 5.0)[:, None]  # 4 tokens, 1 channel
-        out = apply_adapter_conv(np.zeros((1, 4, 4, 1)), tokens, s=2)
+        out = apply_adapter_conv(np.zeros((1, 4, 4, 1)), tokens)
         assert np.all(out[0, :2, :2] == 1.0)
         assert np.all(out[0, :2, 2:] == 2.0)
         assert np.all(out[0, 2:, :2] == 3.0)
@@ -146,26 +146,26 @@ class TestAdapterConv:
 
     def test_indivisible_rejected(self):
         with pytest.raises(ConfigError):
-            apply_adapter_conv(np.zeros((1, 5, 4, 1)), np.zeros((4, 1)), s=2)
+            apply_adapter_conv(np.zeros((1, 5, 4, 1)), np.zeros((4, 1)))
 
     def test_batch_last_stack_gets_the_same_tile_per_image(self):
         rng = np.random.default_rng(2)
         f = rng.normal(size=(3, 4, 6, 5))  # (D, H, W, B)
         tokens = rng.normal(size=(6, 3))
-        out = num.value_of(apply_adapter_conv(f, tokens, s=2))
+        out = num.value_of(apply_adapter_conv(f, tokens))
         assert out.shape == f.shape
         for b in range(f.shape[3]):
             one = f[..., b : b + 1]
-            assert np.array_equal(out[..., b : b + 1], apply_adapter_conv(one, tokens, s=2))
+            assert np.array_equal(out[..., b : b + 1], apply_adapter_conv(one, tokens))
         # the tokens' gradient sums the per-image gradients
         g = rng.normal(size=f.shape)
         stacked = num.value_and_gradient(
-            lambda t: num.total_sum(num.mul(apply_adapter_conv(f, t, 2), g)), tokens
+            lambda t: num.total_sum(num.mul(apply_adapter_conv(f, t), g)), tokens
         ).gradient
         per_image = sum(
             num.value_and_gradient(
                 lambda t, b=b: num.total_sum(
-                    num.mul(apply_adapter_conv(f[..., b : b + 1], t, 2), g[..., b : b + 1])
+                    num.mul(apply_adapter_conv(f[..., b : b + 1], t), g[..., b : b + 1])
                 ),
                 tokens,
             ).gradient
@@ -179,7 +179,7 @@ class TestAdapterConv:
         gh, gw, s, d = 3, 2, 2, 4
         ids = np.arange(1.0, gh * gw + 1.0)
         tokens = np.repeat(ids[:, None], d, axis=1)
-        tiled = num.value_of(tile_tokens(tokens, (gh, gw), s))
+        tiled = num.value_of(tile_tokens(tokens, (gh, gw)))
         assert tiled.shape == (d, gh * s, gw * s)
         for c in range(d):
             vals, counts = np.unique(tiled[c], return_counts=True)
@@ -723,7 +723,7 @@ class TestAdapterParams:
         with pytest.raises(DimensionError):
             apply_adapter_vit(np.zeros((4, 3)), np.zeros(12))
         with pytest.raises(DimensionError):
-            apply_adapter_conv(np.zeros((3, 4, 4, 1)), np.zeros(12), s=2)
+            apply_adapter_conv(np.zeros((3, 4, 4, 1)), np.zeros(12))
         for enc in (ToyViTEncoder(), ToyConvEncoder()):
             with pytest.raises(DimensionError):
                 enc.encode_batch(_test_image()[None], np.zeros(enc.adapter_shape).ravel())

@@ -12,6 +12,8 @@ from hypothesis.extra import numpy as hnp
 from ssam import numerics as num
 from ssam.errors import DegenerateInputError, DimensionError, NumericError
 
+from oracles import rel_err
+
 
 class TestMatmul:
     def test_identity(self):
@@ -205,11 +207,6 @@ def _tiled_sum_shaped(shape):
     return lambda x: num.mul(num.total_sum(x), np.ones(shape))
 
 
-def _rel_err(analytic, numeric):
-    denom = max(np.abs(numeric).max(), 1e-12)
-    return np.abs(analytic - numeric).max() / denom
-
-
 PRIMITIVE_OBJECTIVES = {
     "matmul": lambda x: num.squared_norm(num.matmul(x, np.arange(12.0).reshape(4, 3) / 7.0)),
     "matmul_batched_var": lambda x: num.squared_norm(
@@ -251,7 +248,7 @@ def test_primitive_gradients_match_finite_differences(name):
         x = rng.normal(0.0, 1.0, (4, 4))
         res = num.value_and_gradient(f, x)
         fd = num.finite_difference_gradient(f, x)
-        assert _rel_err(res.gradient, fd) <= 1e-6, name
+        assert rel_err(res.gradient, fd) <= 1e-6, name
 
 
 def test_gradient_drops_each_node_gradient_once_its_vjps_have_run():

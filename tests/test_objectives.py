@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 import ssam.numerics as num
 from ssam.association import association_map, estimate_prototypes
+from ssam.bench import gradcheck as gc
 from ssam.encoders import ToyConvEncoder, ToyViTEncoder, embed_categories
 from ssam.errors import ConfigError, DimensionError
 from ssam.objectives import (
@@ -181,6 +182,9 @@ class TestTotalObjective:
     def test_negative_weight_rejected(self):
         with pytest.raises(ConfigError):
             total_objective(np.eye(2), np.eye(2), alpha=-0.1, beta=1.0)
+        for alpha, beta in ((float("nan"), 1.0), (1.0, float("inf"))):
+            with pytest.raises(ConfigError, match="finite and >= 0"):
+                total_objective(np.eye(2), np.eye(2), alpha=alpha, beta=beta)
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(2, 5), st.integers(1, 6))
@@ -217,22 +221,6 @@ class TestTotalObjective:
             assert int(np.argmin(losses)) == nearest
 
 
-def _component_closure(kind, enc, imgs, t):
-    def f(tokens):
-        v = enc.encode_batch(imgs, tokens)
-        a = association_map(v, t)
-        if kind == "ent":
-            return loss_entropy(a)
-        p = estimate_prototypes(a, v)
-        if kind == "ca":
-            return loss_ca(p, t)
-        if kind == "pir":
-            return loss_pir(reconstruct(a, p), v)
-        return total_objective(v, t)[0]
-
-    return f
-
-
 @pytest.mark.parametrize("family", ["vit", "conv"])
 @pytest.mark.parametrize("kind", ["ent", "pir", "ca", "total"])
 def test_loss_gradients_match_finite_differences(family, kind):
@@ -244,7 +232,7 @@ def test_loss_gradients_match_finite_differences(family, kind):
     imgs = rng.normal(size=(4,) + enc.image_shape)
     t = embed_categories(3, 8, seed=5)
     tokens0 = rng.normal(0.0, 0.2, enc.adapter_shape)
-    f = _component_closure(kind, enc, imgs, t)
+    f = gc._component_closure(kind, enc, imgs, t)
     analytic = num.value_and_gradient(f, tokens0).gradient
     fd = num.finite_difference_gradient(f, tokens0)
     assert rel_err(analytic, fd) <= 1e-4

@@ -32,8 +32,6 @@ def test_settings_are_pinned():
             "post_accuracy",
             "online_accuracy",
             "adapter",
-            "adapter_checksum",
-            "num_batches",
             "features_pre",
             "features_post",
         ],
@@ -57,7 +55,7 @@ def test_settings_are_pinned():
         num.finite_difference_gradient: ["objective", "params"],
         run_ablation: ["encoder", "dataset", "emb", "base_cfg", "grid_alpha", "grid_beta", "seeds"],
         default_encoder: ["family", "image_shape", "insertion_layer"],
-        _FrozenEncoder.__init__: ["self", "image_shape", "dim", "seed"],
+        _FrozenEncoder.__init__: ["self", "image_shape", "dim"],
         ToyConvEncoder.__init__: ["self", "image_shape", "dim", "seed"],
         ToyViTEncoder.__init__: ["self", "image_shape", "dim", "insertion_layer", "seed"],
         num.sum_axis: ["a", "axis"],
