@@ -95,6 +95,10 @@ class AdamOptimizer:
         self.t += 1
         self.m = self.BETA1 * self.m + (1.0 - self.BETA1) * grad
         self.v = self.BETA2 * self.v + (1.0 - self.BETA2) * grad * grad
+        # a finite gradient above ~1.3e154 squares to inf, and an infinite
+        # second moment would silently zero those tokens' updates for good
+        if not np.all(np.isfinite(self.v)):
+            raise NumericError("optimizer produced a non-finite second moment")
         m_hat = self.m / (1.0 - self.BETA1**self.t)
         v_hat = self.v / (1.0 - self.BETA2**self.t)
         return params - self.learning_rate * m_hat / (np.sqrt(v_hat) + self.EPS)

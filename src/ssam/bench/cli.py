@@ -96,10 +96,6 @@ def _build_parser() -> _Parser:
 
     c = sub.add_parser("gradcheck", help="verify analytic gradients against finite differences")
     c.add_argument("--seed", type=int, default=0)
-    c.add_argument("--batch", type=int, default=8)
-    c.add_argument("--m", type=int, default=4)
-    c.add_argument("--d", type=int, default=16)
-    c.add_argument("--n", type=int, default=9)
     c.set_defaults(func=_cmd_gradcheck)
     return p
 
@@ -165,7 +161,7 @@ def _cmd_ablate(args) -> int:
 
 
 def _cmd_gradcheck(args) -> int:
-    report = gc.gradcheck_command(seed=args.seed, batch=args.batch, m=args.m, d=args.d, n=args.n)
+    report = gc.gradcheck_command(seed=args.seed)
     print(gc.format_report(report))
     return 0 if report.passed else 3
 

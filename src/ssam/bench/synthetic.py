@@ -46,6 +46,8 @@ DEFAULT_FAMILY = "conv"
 # header layout: magic at byte 0, then u32 version/count/C/H/W/M
 _HEADER = struct.Struct("<8sIIIIII")
 HEADER_SIZE = _HEADER.size  # 32
+# .emb header: magic at byte 0, then u32 M/D; the rows follow at byte 16
+_EMB_HEADER = struct.Struct("<8sII")
 
 
 def _json_like(value, default) -> bool:
@@ -302,8 +304,7 @@ def save_embeddings(t: np.ndarray, path) -> None:
     rows as little-endian float32."""
     m, d = t.shape
     with open(path, "wb") as fh:
-        fh.write(EMB_MAGIC)
-        fh.write(struct.pack("<II", m, d))
+        fh.write(_EMB_HEADER.pack(EMB_MAGIC, m, d))
         fh.write(np.asarray(t, dtype="<f4").tobytes())
 
 
@@ -312,30 +313,31 @@ def load_embeddings(path) -> np.ndarray:
     file fails with a FormatError naming a byte offset."""
     with open(path, "rb") as fh:
         blob = fh.read()
-    if len(blob) < 16:
-        raise FormatError(f"{path}: header truncated at byte {len(blob)} (need 16 bytes)")
-    if blob[:8] != EMB_MAGIC:
-        raise FormatError(f"{path}: bad magic at byte 0, got {blob[:8]!r}")
-    m, d = struct.unpack_from("<II", blob, 8)
+    start = _EMB_HEADER.size
+    if len(blob) < start:
+        raise FormatError(f"{path}: header truncated at byte {len(blob)} (need {start} bytes)")
+    magic, m, d = _EMB_HEADER.unpack_from(blob, 0)
+    if magic != EMB_MAGIC:
+        raise FormatError(f"{path}: bad magic at byte 0, got {magic!r}")
     if m < 2:
         raise FormatError(f"{path}: category count {m} < 2 at byte 8")
     if d < 1:
         raise FormatError(f"{path}: feature dim {d} < 1 at byte 12")
-    expected = 16 + 4 * m * d
+    expected = start + 4 * m * d
     if len(blob) != expected:
         raise FormatError(
             f"{path}: payload size mismatch, expected {expected} bytes, "
-            f"got {len(blob)} (payload starts at byte 16)"
+            f"got {len(blob)} (payload starts at byte {start})"
         )
-    mat = np.frombuffer(blob, dtype="<f4", offset=16).reshape(m, d).astype(np.float64)
+    mat = np.frombuffer(blob, dtype="<f4", offset=start).reshape(m, d).astype(np.float64)
     if not np.all(np.isfinite(mat)):
         flat = int(np.flatnonzero(~np.isfinite(mat))[0])
-        raise FormatError(f"{path}: non-finite value at byte {16 + 4 * flat}")
+        raise FormatError(f"{path}: non-finite value at byte {start + 4 * flat}")
     norms = np.linalg.norm(mat, axis=1)
     if norms.min() <= num.ZERO_NORM_EPS:
         row = int(np.argmin(norms))
         raise FormatError(
-            f"{path}: category row {row} has near-zero norm at byte {16 + 4 * row * d}"
+            f"{path}: category row {row} has near-zero norm at byte {start + 4 * row * d}"
         )
     # the writer stores unit rows, so a row off unit norm is corruption:
     # a damaged header whose m x d happens to fit a truncated payload
@@ -344,7 +346,7 @@ def load_embeddings(path) -> np.ndarray:
         row = int(np.argmax(off))
         raise FormatError(
             f"{path}: category row {row} has norm {norms[row]:.9g}, not 1, "
-            f"at byte {16 + 4 * row * d}"
+            f"at byte {start + 4 * row * d}"
         )
     return category_matrix(mat)
 

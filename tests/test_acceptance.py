@@ -4,20 +4,19 @@ Each test appends an explicit "criterion N ... PASS/FAIL" line to the
 terminal summary (see conftest.py), so a full run always ends with the
 checklist even when capture is on. The benchmark-level criteria (5, 6, 7)
 share one module-scoped set of ten default-recipe adaptation runs; this
-module deliberately takes several minutes.
+module is most of the suite's time, about a minute on 2 vCPUs.
 """
 
 import dataclasses
 import json
 import math
-import pathlib
 import time
 
 import numpy as np
 import pytest
 
 import ssam.numerics as num
-from conftest import ACCEPTANCE_LINES
+from conftest import ACCEPTANCE_LINES, load_golden
 from oracles import naive_association, naive_prototypes, naive_reconstruction
 from ssam.adaptation import AdaptConfig, classify_batch, nearest_category, run_stream
 from ssam.association import association_map, estimate_prototypes
@@ -38,9 +37,7 @@ from ssam.bench.synthetic import SyntheticShiftSpec
 from ssam.errors import FormatError
 from ssam.objectives import loss_ca, loss_entropy, reconstruct
 
-GOLDEN = json.loads(
-    (pathlib.Path(__file__).parent / "golden" / "benchmark_golden.json").read_text()
-)
+GOLDEN = load_golden("benchmark_golden.json")
 
 TINY_SPEC = dict(
     num_classes=2, images_per_class=4, image_shape=(3, 4, 4), sample_noise=0.05, seed=3

@@ -2,13 +2,12 @@
 
 import dataclasses
 import hashlib
-import json
-import pathlib
 
 import numpy as np
 import pytest
 
 import ssam.numerics as num
+from conftest import load_golden
 from ssam.adaptation import (
     AdamOptimizer,
     AdaptConfig,
@@ -23,8 +22,6 @@ from ssam.association import association_map
 from ssam.encoders import ToyConvEncoder, ToyViTEncoder, embed_categories
 from ssam.errors import ConfigError, DegenerateInputError, NumericError
 from ssam.objectives import loss_entropy
-
-GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 
 
 class _DS:
@@ -166,8 +163,7 @@ class TestAdaptBatch:
         assert np.array_equal(out, tokens)
 
     def test_descent_regression(self):
-        with open(GOLDEN_DIR / "adaptation_golden.json") as fh:
-            g = json.load(fh)
+        g = load_golden("adaptation_golden.json")
         enc = ToyViTEncoder(seed=0)
         emb = embed_categories(4, 16, seed=0)
         imgs = np.random.default_rng(123).normal(size=(16,) + enc.image_shape)
@@ -197,6 +193,26 @@ class TestAdaptBatch:
             adapt_batch(enc, imgs, adapter, emb, cfg, opt)
         assert not adapter.any()  # caller state untouched
         assert opt.snapshot() == (0, None, None)
+
+    @pytest.mark.filterwarnings("ignore:overflow")
+    @pytest.mark.parametrize("alpha", [1e160, 1e300])
+    @pytest.mark.parametrize("family", [ToyConvEncoder, ToyViTEncoder])
+    def test_adam_second_moment_overflow_is_a_numeric_error(self, family, alpha):
+        # gradients of ~alpha square past the float range: the moment
+        # would be inf and every later update of those tokens 0
+        enc = family(image_shape=(3, 4, 4), dim=8, seed=2)
+        emb = embed_categories(3, 8, seed=1)
+        imgs = np.random.default_rng(7).normal(size=(8,) + enc.image_shape)
+        opt = AdamOptimizer(1e-2)
+        adapter, _ = adapt_batch(enc, imgs, enc.new_adapter(), emb, AdaptConfig(steps_per_batch=1), opt)
+        before = opt.snapshot()
+        kept = adapter.copy()
+        with pytest.raises(NumericError, match="optimizer produced a non-finite second moment"):
+            adapt_batch(enc, imgs, adapter, emb, AdaptConfig(alpha=alpha, steps_per_batch=2), opt)
+        assert np.array_equal(adapter, kept)  # caller state untouched
+        t, m, v = opt.snapshot()
+        assert t == before[0] == 1
+        assert np.array_equal(m, before[1]) and np.array_equal(v, before[2])
 
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_adam_rollback_restores_moments(self):

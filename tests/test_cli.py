@@ -1,5 +1,6 @@
 """End-to-end command line checks, run in-process through main()."""
 
+import argparse
 import dataclasses
 import json
 import os
@@ -12,6 +13,7 @@ import sys
 import pytest
 
 import ssam
+from conftest import truncations_and_bit_flips
 from ssam.adaptation import AdaptConfig
 from ssam.bench import DEFAULT_FAMILY, cli, reports
 from ssam.bench.cli import main
@@ -255,6 +257,15 @@ def test_adapt_numeric_blowup_is_exit_2(tiny_data, capsys):
     assert "numeric failure" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("ignore:overflow")
+@pytest.mark.parametrize("encoder", ["conv", "vit"])
+def test_adapt_second_moment_overflow_is_exit_2(tiny_data, encoder, capsys):
+    # finite gradients of ~1e300 square past the float range in Adam
+    rc = main(_adapt_args(tiny_data, alpha="1e300", encoder=encoder))
+    assert rc == 2
+    assert "numeric failure: optimizer produced a non-finite second moment" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "argv",
     [["adapt", "--encoder", "conv"], ["adapt", "--encoder", "vit"], ["ablate", "--seeds", "1"]],
@@ -370,26 +381,25 @@ def test_mismatched_embeddings_are_exit_1(tmp_path, tiny_data, capsys, command, 
     assert not report.exists()
 
 
-def test_gradcheck_cli_pass(capsys):
-    rc = main(["gradcheck", "--seed", "0", "--batch", "2", "--m", "2", "--d", "4", "--n", "4"])
+def test_gradcheck_cli_pass(small_gradcheck, capsys):
+    rc = main(["gradcheck", "--seed", "0"])
     assert rc == 0
     assert "gradcheck pass" in capsys.readouterr().out
 
 
-def test_gradcheck_cli_corrupt_negative_control(broken_log_vjp, capsys):
-    rc = main(["gradcheck", "--batch", "2", "--m", "2", "--d", "4", "--n", "4"])
+def test_gradcheck_cli_corrupt_negative_control(small_gradcheck, broken_log_vjp, capsys):
+    rc = main(["gradcheck"])
     assert rc == 3
     out = capsys.readouterr().out
     assert "offending component(s): ca, total" in out
 
 
 def test_gradcheck_cli_bad_sizes(capsys):
-    assert main(["gradcheck", "--batch", "99"]) == 1
-    assert "batch" in capsys.readouterr().err
-    assert main(["gradcheck", "--n", "-4"]) == 1
-    assert capsys.readouterr().err.startswith("error:")
-    assert main(["gradcheck", "--n", "4096"]) == 1  # a perfect square, past MAX_TOKENS
-    assert "token count" in capsys.readouterr().err
+    # gradcheck runs at one size, so any size flag is an unknown argument
+    for flag, value in (("--n", "4"), ("--n", "4096"), ("--batch", "99"), ("--d", "1")):
+        assert main(["gradcheck", flag, value]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"unrecognized arguments: {flag} {value}" in err
 
 
 @pytest.mark.parametrize(
@@ -465,15 +475,6 @@ def test_undecodable_json_config_names_the_file_and_byte(tmp_path, tiny_data, ca
     assert "Traceback" not in err
 
 
-def _damaged(blob: bytes):
-    for n in range(len(blob)):
-        yield f"cut at byte {n}", blob[:n]
-    for bit in range(8 * len(blob)):
-        flipped = bytearray(blob)
-        flipped[bit // 8] ^= 1 << (bit % 8)
-        yield f"bit {bit} flipped", bytes(flipped)
-
-
 @pytest.mark.parametrize(
     "read, text",
     [
@@ -487,7 +488,7 @@ def test_json_config_every_truncation_and_bit_flip_is_read_or_named(tmp_path, re
     p.write_text(text)
     read(p)  # the undamaged file reads
     accepted = 0
-    for what, blob in _damaged(text.encode()):
+    for what, blob in truncations_and_bit_flips(text.encode()):
         p.write_bytes(blob)
         try:
             json.loads(blob.decode("utf-8"))
@@ -705,3 +706,16 @@ def test_reports_do_not_depend_on_the_inherited_blas_threads(tmp_path):
             reports[blas] = {p.name: p.read_bytes() for p in out.iterdir()}
         assert set(EXPECTED_REPORT_FILES) <= set(reports["1"])
         assert reports[None] == reports["1"] == reports["2"], family
+
+
+def test_every_cli_flag_is_documented_in_the_readme():
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    (subparsers,) = [a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    missing = [
+        f"{name} {flag}"
+        for name, parser in subparsers.choices.items()
+        for action in parser._actions
+        for flag in action.option_strings
+        if flag not in ("-h", "--help") and not re.search(rf"(?<![\w-]){re.escape(flag)}(?![\w-])", readme)
+    ]
+    assert missing == []

@@ -1,6 +1,5 @@
 """Tests for the frozen toy encoders, adapters, and category embeddings."""
 
-import json
 import os
 import pathlib
 import subprocess
@@ -33,6 +32,7 @@ from ssam.errors import (
     NumericError,
 )
 
+from conftest import load_golden, truncations_and_bit_flips
 from oracles import (
     naive_conv3x3_same,
     naive_conv3x3_same_vjp,
@@ -40,14 +40,6 @@ from oracles import (
     naive_vit_encoder,
     rel_err,
 )
-
-GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
-
-
-def _load_golden(name):
-    with open(GOLDEN_DIR / name) as fh:
-        return json.load(fh)
-
 
 class TestPatchLayout:
     """At insertion_layer 0 the prefix is the patch embedding p_1..p_N."""
@@ -86,7 +78,7 @@ class TestPatchLayout:
                     cls(image_shape=shape)
 
     def test_golden_patch_embeddings(self):
-        g = _load_golden("encoders_golden.json")
+        g = load_golden("encoders_golden.json")
         enc = ToyViTEncoder(seed=0)
         assert enc.insertion_layer == 0
         img = np.array(g["image"])
@@ -239,7 +231,7 @@ class TestEncode:
             ToyViTEncoder(insertion_layer=4)
 
     def test_golden_features(self):
-        g = _load_golden("encoders_golden.json")
+        g = load_golden("encoders_golden.json")
         img = np.array(g["image"])
         tokens = np.array(g["adapter_tokens"])
         vit = ToyViTEncoder(seed=0).encode_batch(img[None], tokens)[0]
@@ -578,7 +570,7 @@ class TestCategoryMatrix:
             emb[0, 0] = 2.0
 
     def test_golden_matrix(self):
-        g = _load_golden("categories_golden.json")
+        g = load_golden("categories_golden.json")
         emb = embed_categories(4, 16, seed=0)
         np.testing.assert_allclose(emb, g["matrix"], rtol=0, atol=1e-10)
 
@@ -690,14 +682,12 @@ def _load_emb_bytes(blob):
 
 def test_emb_load_every_truncation_and_bit_flip_fails_with_a_byte_offset():
     good = _small_emb_bytes()
-    for n in range(len(good)):
-        assert _load_emb_bytes(good[:n]) is None
-    for bit in range(8 * len(good)):
-        blob = bytearray(good)
-        blob[bit // 8] ^= 1 << (bit % 8)
+    for what, blob in truncations_and_bit_flips(good):
         emb = _load_emb_bytes(blob)
-        if emb is not None:  # only a flip inside the payload can still load
-            assert bit >= 8 * 16 and emb.shape == (2, 3)
+        if len(blob) < len(good):
+            assert emb is None, what
+        elif emb is not None:  # only a flip inside the payload can still load
+            assert blob[:16] == good[:16] and emb.shape == (2, 3), what
 
 
 @settings(max_examples=300, deadline=None)

@@ -2,11 +2,10 @@
 for byte, so an output change that was not regenerated fails here."""
 
 import importlib.util
-import pathlib
 
 import pytest
 
-GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
+from conftest import GOLDEN_DIR
 
 
 def _regen_module():

@@ -8,6 +8,7 @@ import inspect
 
 from ssam import numerics as num
 from ssam.adaptation import AdaptConfig, AdaptReport
+from ssam.bench.gradcheck import gradcheck_command
 from ssam.bench.reports import ReportBundle, run_ablation
 from ssam.bench.synthetic import default_encoder
 from ssam.encoders import ToyConvEncoder, ToyViTEncoder, _FrozenEncoder
@@ -55,6 +56,7 @@ def test_settings_are_pinned():
         num.finite_difference_gradient: ["objective", "params"],
         run_ablation: ["encoder", "dataset", "emb", "base_cfg", "grid_alpha", "grid_beta", "seeds"],
         default_encoder: ["family", "image_shape", "insertion_layer"],
+        gradcheck_command: ["seed"],
         _FrozenEncoder.__init__: ["self", "image_shape", "dim"],
         ToyConvEncoder.__init__: ["self", "image_shape", "dim", "seed"],
         ToyViTEncoder.__init__: ["self", "image_shape", "dim", "insertion_layer", "seed"],
