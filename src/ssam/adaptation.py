@@ -93,10 +93,12 @@ class AdamOptimizer:
             self.m = np.zeros_like(params)
             self.v = np.zeros_like(params)
         self.t += 1
-        self.m = self.BETA1 * self.m + (1.0 - self.BETA1) * grad
-        self.v = self.BETA2 * self.v + (1.0 - self.BETA2) * grad * grad
         # a finite gradient above ~1.3e154 squares to inf, and an infinite
-        # second moment would silently zero those tokens' updates for good
+        # second moment would silently zero those tokens' updates for good;
+        # the check below names that fault, so numpy's warning is not needed
+        with np.errstate(over="ignore"):
+            self.m = self.BETA1 * self.m + (1.0 - self.BETA1) * grad
+            self.v = self.BETA2 * self.v + (1.0 - self.BETA2) * grad * grad
         if not np.all(np.isfinite(self.v)):
             raise NumericError("optimizer produced a non-finite second moment")
         m_hat = self.m / (1.0 - self.BETA1**self.t)

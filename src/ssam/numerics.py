@@ -10,17 +10,30 @@ path; the two never share derivative code.
 
 Operations validate their own output: every primitive funnels through
 :func:`custom_node`, which tests every entry of every result it builds,
-on plain arrays as on the tape: ``math.isfinite(out)`` for a 0-d
-result, else ``math.isfinite(np.vdot(out, out))``, the sum of squares,
-which is not finite when an entry is not; when that sum is not finite,
-``np.logical_and.reduce(np.isfinite(out), axis=None)`` tells an
-overflow of finite entries from a NaN or infinity. The sum runs in BLAS,
-which raises no numpy floating-point warning, so finite extremes pass
-silently. Any NaN or infinity raises :class:`~ssam.errors.NumericError`
-naming the offending primitive, after whatever warning numpy gives for
-the operation that made it. Checking only the objective's output would
-not do: ``tanh``, ``xlogx``, ``row_softmax``, ``div`` and ``diag_part``
-can each turn a non-finite operand into a finite result.
+on plain arrays as on the tape. How depends on the layout. A 0-d result
+is tested with ``math.isfinite(out)``. A C-contiguous one is tested with
+``math.isfinite(np.vdot(out, out))``, the sum of squares, which is not
+finite when an entry is not. Any other layout, such as a transposed
+view, is tested entry-wise with
+``np.logical_and.reduce(np.isfinite(out), axis=None)``, since
+``np.vdot`` would copy it first; so is a result whose sum of squares is
+not finite, which tells an overflow of finite entries from a NaN or
+infinity. Neither test raises a numpy floating-point warning (the sum
+runs in BLAS), so finite extremes pass silently. Any NaN or infinity
+raises :class:`~ssam.errors.NumericError` naming the offending
+primitive, after whatever warning numpy gives for the operation that
+made it. Checking only the objective's output would not do: ``tanh``,
+``xlogx``, ``row_softmax``, ``div`` and ``diag_part`` can each turn a
+non-finite operand into a finite result.
+
+A finite-difference forward runs on plain arrays only, so what a call
+costs beyond its arithmetic and this test sets its speed. ``value_of``
+tests for a float64 ``ndarray`` first, ``custom_node`` tests ``Var`` by
+exact type, and ``matmul``, ``add``, ``mul``, ``tanh`` and
+``transpose`` build their VJP closures only when an operand is a
+``Var``; plain operands pass ``custom_node`` no edges. The arithmetic,
+and so every output bit, is the same either way. README's "Fixed cost
+per primitive" gives the per-call timings.
 """
 
 from __future__ import annotations
@@ -77,10 +90,12 @@ def leaf(value) -> Var:
 
 def value_of(x) -> np.ndarray:
     """The plain float64 array behind ``x`` (Var or array-like)."""
-    if isinstance(x, Var):
-        return x.value
+    # the plain float64 array first: a finite-difference forward passes
+    # little else
     if type(x) is np.ndarray and x.dtype is _F64:
         return x
+    if type(x) is Var:
+        return x.value
     return np.asarray(x, dtype=np.float64)
 
 
@@ -95,17 +110,20 @@ def custom_node(op: str, out: np.ndarray, edges: Sequence[tuple]):
     """
     if not (type(out) is np.ndarray and out.dtype is _F64):
         out = np.asarray(out, dtype=np.float64)
-    # a 0-d result is its own test; otherwise one BLAS call, where the
-    # entry-wise test costs three times as much on the small arrays of a
-    # finite-difference forward and runs only for a sum that is not finite
+    # a 0-d result is its own test. A C-contiguous one takes one BLAS
+    # call, where the entry-wise test costs three times as much on the
+    # small arrays of a finite-difference forward and runs only for a sum
+    # that is not finite. Any other layout, such as a transposed view, is
+    # tested entry-wise at once: np.vdot would copy it twice first, which
+    # costs more than the entry-wise test.
     if not (
-        math.isfinite(np.vdot(out, out) if out.ndim else out)
+        out.flags.c_contiguous and math.isfinite(np.vdot(out, out) if out.ndim else out)
         or np.logical_and.reduce(np.isfinite(out), axis=None)
     ):
         raise NumericError(f"{op} produced a non-finite value")
     for p, _ in edges:
-        if isinstance(p, Var):
-            return Var(out, tuple((p, vjp) for p, vjp in edges if isinstance(p, Var)))
+        if type(p) is Var:
+            return Var(out, tuple((p, vjp) for p, vjp in edges if type(p) is Var))
     return out
 
 
@@ -225,14 +243,13 @@ def matmul(a, b):
         raise DimensionError(f"matmul: operands must be at least 2-D, got {av.shape}, {bv.shape}")
     if av.shape[-1] != bv.shape[-2]:
         raise DimensionError(f"matmul: inner dimensions differ, {av.shape} x {bv.shape}")
-    return custom_node(
-        "matmul",
-        av @ bv,
-        (
+    edges = ()
+    if type(a) is Var or type(b) is Var:
+        edges = (
             (a, lambda g: _unbroadcast(g @ bv.swapaxes(-1, -2), av.shape)),
             (b, lambda g: _unbroadcast(av.swapaxes(-1, -2) @ g, bv.shape)),
-        ),
-    )
+        )
+    return custom_node("matmul", av @ bv, edges)
 
 
 def row_softmax(m):
@@ -246,8 +263,9 @@ def row_softmax(m):
         raise DimensionError(f"row_softmax: input must be nonempty, got shape {mv.shape}")
     # the bare ufunc reductions here and below: the ndarray.max/sum/min
     # wrappers call them, at a cost that shows on small arrays
-    e = np.exp(mv - np.maximum.reduce(mv, axis=-1, keepdims=True))
-    y = e / np.add.reduce(e, axis=-1, keepdims=True)
+    y = np.subtract(mv, np.maximum.reduce(mv, axis=-1, keepdims=True))
+    np.exp(y, out=y)
+    np.divide(y, np.add.reduce(y, axis=-1, keepdims=True), out=y)
 
     def vjp(g):
         return y * (g - np.add.reduce(g * y, axis=-1, keepdims=True))
@@ -292,15 +310,13 @@ def cosine_similarity_matrix(u, v):
 
 def add(a, b):
     av, bv = value_of(a), value_of(b)
-    out = av + bv
-    return custom_node(
-        "add",
-        out,
-        (
+    edges = ()
+    if type(a) is Var or type(b) is Var:
+        edges = (
             (a, lambda g: _unbroadcast(g, av.shape)),
             (b, lambda g: _unbroadcast(g, bv.shape)),
-        ),
-    )
+        )
+    return custom_node("add", av + bv, edges)
 
 
 def sub(a, b):
@@ -318,15 +334,13 @@ def sub(a, b):
 
 def mul(a, b):
     av, bv = value_of(a), value_of(b)
-    out = av * bv
-    return custom_node(
-        "mul",
-        out,
-        (
+    edges = ()
+    if type(a) is Var or type(b) is Var:
+        edges = (
             (a, lambda g: _unbroadcast(g * bv, av.shape)),
             (b, lambda g: _unbroadcast(g * av, bv.shape)),
-        ),
-    )
+        )
+    return custom_node("mul", av * bv, edges)
 
 
 def div(a, b):
@@ -350,7 +364,8 @@ def log(a):
 def tanh(a):
     av = value_of(a)
     out = np.tanh(av)
-    return custom_node("tanh", out, ((a, lambda g: g * (1.0 - out * out)),))
+    edges = ((a, lambda g: g * (1.0 - out * out)),) if type(a) is Var else ()
+    return custom_node("tanh", out, edges)
 
 
 def xlogx(a):
@@ -410,7 +425,8 @@ def transpose(a):
     av = value_of(a)
     if av.ndim < 2:
         raise DimensionError(f"transpose: input must be at least 2-D, got shape {av.shape}")
-    return custom_node("transpose", av.swapaxes(-1, -2), ((a, lambda g: g.swapaxes(-1, -2)),))
+    edges = ((a, lambda g: g.swapaxes(-1, -2)),) if type(a) is Var else ()
+    return custom_node("transpose", av.swapaxes(-1, -2), edges)
 
 
 def reshape(a, shape):

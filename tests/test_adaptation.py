@@ -194,7 +194,7 @@ class TestAdaptBatch:
         assert not adapter.any()  # caller state untouched
         assert opt.snapshot() == (0, None, None)
 
-    @pytest.mark.filterwarnings("ignore:overflow")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("alpha", [1e160, 1e300])
     @pytest.mark.parametrize("family", [ToyConvEncoder, ToyViTEncoder])
     def test_adam_second_moment_overflow_is_a_numeric_error(self, family, alpha):

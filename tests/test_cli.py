@@ -257,7 +257,7 @@ def test_adapt_numeric_blowup_is_exit_2(tiny_data, capsys):
     assert "numeric failure" in capsys.readouterr().err
 
 
-@pytest.mark.filterwarnings("ignore:overflow")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("encoder", ["conv", "vit"])
 def test_adapt_second_moment_overflow_is_exit_2(tiny_data, encoder, capsys):
     # finite gradients of ~1e300 square past the float range in Adam

@@ -249,6 +249,10 @@ def test_primitive_gradients_match_finite_differences(name):
         res = num.value_and_gradient(f, x)
         fd = num.finite_difference_gradient(f, x)
         assert rel_err(res.gradient, fd) <= 1e-6, name
+        # plain operands build no VJP closures, on the same arithmetic
+        plain, node = f(x), f(num.leaf(x))
+        assert type(plain) is np.ndarray and type(node) is num.Var
+        assert plain.shape == node.shape and plain.tobytes() == node.value.tobytes()
 
 
 def test_gradient_drops_each_node_gradient_once_its_vjps_have_run():
@@ -328,7 +332,11 @@ def test_custom_node_rejects_any_non_finite_entry(bad, shape, operand):
 def test_custom_node_accepts_finite_extremes(shape):
     out = np.full(shape, np.finfo(np.float64).max)
     out.flat[-1] = -np.finfo(np.float64).max
-    assert num.custom_node("probe_op", out, ((np.ones(2), _identity_vjp),)) is out
+    # past one axis, .T is not C-contiguous and is tested entry-wise
+    for probe in (out, out.T):
+        assert num.custom_node("probe_op", probe, ((np.ones(2), _identity_vjp),)) is probe
+    if len(shape) > 1:
+        assert not out.T.flags.c_contiguous
 
 
 @pytest.mark.parametrize("shape", ((0,), (3, 0), (0, 0, 2)), ids=str)
