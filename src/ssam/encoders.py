@@ -5,7 +5,8 @@ is a plain (N, D) float64 array, one learnable token per patch, zero
 from ``new_adapter``. Both families tile the image into 2x2 patches, and
 their base class owns that geometry: the ``patch_side`` constant, the
 ``grid`` of patches and the ``adapter_shape``, set by the one
-constructor, which rejects an odd image side.
+constructor, which rejects an image size or ``dim`` below 1 and an odd
+image side.
 The patch transformer maps each patch through a frozen linear embedding
 and runs a stack of three attention blocks; the adapter adds its tokens
 immediately before a configurable block. The conv encoder runs a 3x3
@@ -13,10 +14,11 @@ conv stack; each adapter token is tiled 2x2 and added to its spatial
 patch of the first feature map, so a 2x2 neighbourhood shares one
 token. The conv stack runs batch-last: its feature maps are
 (C, H, W, B), the layout in which a block's im2col columns are one copy
-of a strided view of the padded input, in contiguous W*B runs, and each
-conv's GEMM output is already the next layer's input. Each conv cuts
-its output rows into blocks whose im2col columns fit a fixed budget and
-runs them in one loop on the calling thread, through one column buffer.
+of a strided view of the padded input, and each conv's GEMM output is
+already the next layer's input. Each conv cuts its output positions
+into blocks of whole rows, or of pieces of a row, whose im2col columns
+fit a fixed cache-sized budget, and runs them in one loop on the
+calling thread.
 
 Weights are drawn from a seeded generator at construction, marked
 read-only, and never change afterwards; adaptation only ever touches the
@@ -43,57 +45,62 @@ from .errors import ConfigError, DegenerateInputError, DimensionError, NumericEr
 # batched graph ops (images are constants; only adapter tokens carry grad)
 
 
-# bytes of im2col columns a _conv3x3 call may hold; a single output row
-# that needs more still runs, as one row per block
-_COLS_BYTES = 2 << 20
+# bytes of im2col columns a _conv3x3 block may hold: at the default recipe
+# a 256-column block, whose columns and OpenBLAS's packed copy of them fit
+# a 2 MiB L2 together; a single output position that needs more still
+# runs, as one position per block
+_COLS_BYTES = 512 << 10
 
 
 def _conv3x3(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     """3x3 same-padding conv on batch-last plain arrays, (C, H, W, B) x
-    (D, C, 3, 3) -> (D, H, W, B), as im2col GEMMs over blocks of whole
-    output rows.
+    (D, C, 3, 3) -> (D, H, W, B), as im2col GEMMs over blocks of output
+    positions (y, x).
 
     The column array keeps the kernel's (c, ky, kx) row order. Its
     entry (c, ky, kx, y, x, b) is the padded input's (c, y + ky, x + kx,
     b), so the whole array is one strided (C, 3, 3, H, W, B) view of the
-    padded input, and each block fills its columns with one copy of its
-    rows of that view, whose innermost runs are W*B contiguous floats.
-    H is cut into the fewest near-equal blocks whose columns fit
-    ``_COLS_BYTES``, rounded up to an even count (at most H) when there
-    is more than one. The blocks run in one loop on the calling thread,
-    through one column buffer, and each block's GEMM writes straight into
-    its rows of the output. The even count keeps the bits of every
-    committed report on every shape, since they were made with it, and a
-    serial conv stream ran about 4 % faster with it than with the fewest
-    blocks that fit 4 MiB. The partition depends on the shapes and the
-    budget only, never on the environment. Every output entry is the same
-    dot product whatever the blocking. BLAS may still round an entry
-    differently when the blocking, or its own thread split, moves it into
-    its edge kernel for leftover columns; with OpenBLAS the result matches
-    a one-block run bit for bit when W*B is a multiple of 8, and the CLI
-    runs OpenBLAS on one thread so that its reports never depend on the
-    inherited thread setting. A small conv, such as every one inside the
-    finite-difference loops, is one block.
+    padded input, and a block copies its columns out of that view with
+    one ``reshape``. A block holds the most positions whose columns fit
+    ``_COLS_BYTES``: the fewest near-equal blocks of whole rows when one
+    row fits, else the fewest near-equal pieces of each row. The blocks
+    run in one loop on the calling thread, and each GEMM writes straight
+    into its columns of the output. The budget is sized to the cache
+    (Goto and van de Geijn, ACM TOMS 2008): at the default recipe every
+    16-channel GEMM sees 256 columns, 4 positions at B=64 or one row at
+    B=32. A 1,024-column block and OpenBLAS's packed copy of it overflow
+    a 2 MiB L2, and with such blocks those convs took about 1.2 times as
+    long in an adaptation stream. The partition depends on the shapes and
+    the budget only, never on the environment; a small conv, such as
+    every one inside the finite-difference loops, is one block. Every
+    output entry is the same dot product whatever the blocking. BLAS may
+    still round an entry differently when the blocking, or its own thread
+    split, moves it into its edge kernel for leftover columns; with
+    OpenBLAS the result matches a one-block run bit for bit when each
+    block's column count is a multiple of 8, as at every batch of the
+    default recipe, and the CLI runs OpenBLAS on one thread so that its
+    reports never depend on the inherited thread setting.
     """
     cin, h, wd, bsz = x.shape
-    dout, k, row = w.shape[0], cin * 9, wd * bsz
+    dout, k = w.shape[0], cin * 9
     pad = np.zeros((cin, h + 2, wd + 2, bsz))
     pad[:, 1:-1, 1:-1] = x
     s0, s1, s2, s3 = pad.strides
     taps = np.ndarray((cin, 3, 3, h, wd, bsz), buffer=pad, strides=(s0, s1, s2, s1, s2, s3))
-    nblocks = -(-h // max(1, _COLS_BYTES // (k * row * 8)))
-    if nblocks > 1:
-        nblocks = min(h, nblocks + nblocks % 2)
+    fit = max(1, _COLS_BYTES // (k * bsz * 8))  # positions per block
+    if fit >= wd:
+        n = -(-h // (fit // wd))
+        blocks = [(i * h // n, (i + 1) * h // n, 0, wd) for i in range(n)]
+    else:
+        n = -(-wd // fit)
+        blocks = [(y, y + 1, j * wd // n, (j + 1) * wd // n) for y in range(h) for j in range(n)]
     wm = w.reshape(dout, k)
-    out = np.empty((dout, h * row))
-    # the buffer after the output, so that it is freed at the heap top:
-    # the other order raised adapt-conv's peak RSS by about 0.35 MB
-    buf = np.empty(k * -(-h // nblocks) * row)
-    for i in range(nblocks):
-        a, b = i * h // nblocks, (i + 1) * h // nblocks
-        cols = buf[: k * (b - a) * row].reshape(cin, 3, 3, b - a, wd, bsz)
-        cols[...] = taps[:, :, :, a:b]
-        np.matmul(wm, cols.reshape(k, (b - a) * row), out=out[:, a * row : b * row])
+    out = np.empty((dout, h * wd * bsz))
+    for y0, y1, x0, x1 in blocks:
+        # no name holds the columns, so each block's are freed before the
+        # next block's are taken
+        a, b = (y0 * wd + x0) * bsz, ((y1 - 1) * wd + x1) * bsz
+        np.matmul(wm, taps[:, :, :, y0:y1, x0:x1].reshape(k, b - a), out=out[:, a:b])
     return out.reshape(dout, h, wd, bsz)
 
 
@@ -184,7 +191,8 @@ class _FrozenEncoder:
     ``suffix(prefix, adapter)`` adds the adapter and runs the rest of the
     forward pass on the tape. ``encode_batch`` is the one composed with
     the other. The constructor owns the geometry both families share:
-    it checks the image against ``patch_side`` and sets ``image_shape``,
+    it checks that every image size and ``dim`` is at least 1 and that
+    the image tiles into ``patch_side`` patches, and sets ``image_shape``,
     ``dim``, the (H/2, W/2) patch ``grid`` and the (N, D) ``adapter_shape``.
     Subclasses draw their weights from their ``seed`` after it and yield
     their frozen arrays from ``_weight_arrays``.
@@ -195,6 +203,10 @@ class _FrozenEncoder:
     def __init__(self, image_shape: tuple[int, int, int], dim: int):
         c, h, w = image_shape
         s = self.patch_side
+        if min(c, h, w) < 1:
+            raise ConfigError(f"image shape {(c, h, w)} needs every size >= 1")
+        if dim < 1:
+            raise ConfigError(f"dim must be >= 1, got {dim}")
         if h % s or w % s:
             raise ConfigError(f"image {h}x{w} not divisible by patch side {s}")
         self.image_shape = (c, h, w)

@@ -685,9 +685,10 @@ def test_blas_pin_leaves_a_library_without_a_setter_alone(monkeypatch):
 
 
 def test_reports_do_not_depend_on_the_inherited_blas_threads(tmp_path):
-    # W*B = 10 * 63 is not a multiple of 8, so OpenBLAS's own threading
-    # would move columns between its kernels and change last bits; the CLI
-    # runs it on one thread whatever the process inherits
+    # a conv block of 5 positions x 63 images is not a multiple of 8
+    # columns, so OpenBLAS's own threading would move columns between its
+    # kernels and change last bits; the CLI runs it on one thread whatever
+    # the process inherits
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps({"image_shape": [3, 10, 10]}))
     data = tmp_path / "data.ssamds"

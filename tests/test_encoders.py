@@ -77,6 +77,20 @@ class TestPatchLayout:
                 with pytest.raises(ConfigError, match="patch side 2"):
                     cls(image_shape=shape)
 
+    @pytest.mark.parametrize("cls", [ToyViTEncoder, ToyConvEncoder])
+    @pytest.mark.parametrize(
+        "kw,match",
+        [
+            pytest.param(dict(image_shape=(3, 0, 0)), r"image shape \(3, 0, 0\) needs", id="3x0x0"),
+            pytest.param(dict(image_shape=(0, 8, 8)), r"image shape \(0, 8, 8\) needs", id="0x8x8"),
+            pytest.param(dict(image_shape=(3, -2, 8)), r"image shape \(3, -2, 8\) needs", id="3x-2x8"),
+            pytest.param(dict(dim=0), "dim must be >= 1, got 0", id="dim0"),
+        ],
+    )
+    def test_empty_geometry_rejected(self, cls, kw, match):
+        with pytest.raises(ConfigError, match=match):
+            cls(**kw)
+
     def test_golden_patch_embeddings(self):
         g = load_golden("encoders_golden.json")
         enc = ToyViTEncoder(seed=0)
@@ -329,31 +343,66 @@ def test_conv_encode_batch_matches_naive_loops():
     assert rel_err(got, want) <= 1e-12
 
 
-@pytest.mark.parametrize("rows", [0, 1, 2])
-def test_conv3x3_row_blocks_match_one_block(monkeypatch, rows):
-    # a column budget of `rows` forward rows: below one row, one row (5
-    # blocks of 1) and two rows (an even count of 4 blocks: 1, 1, 1, 2).
-    # The VJP's rows are twice as wide (cin 6), so it runs one row per
-    # block in every case.
-    # W*B = 8 keeps each block's columns off OpenBLAS's edge kernel.
+_P = 3 * 9 * 8 * 8  # bytes of one forward output position's columns at C=3, B=8
+
+
+# (B, C, H, W) images, output channels, column budget in bytes (None: the
+# module's own), and the column count of each forward and VJP GEMM. With
+# 6 output channels the VJP's positions are twice as wide as the forward's.
+@pytest.mark.parametrize(
+    "shape,dout,budget,fwd_cols,vjp_cols",
+    [
+        # no position fits: one position per block both ways
+        pytest.param((8, 3, 5, 4), 6, 0, [8] * 20, [8] * 20, id="0"),
+        # one forward row per block; the VJP cuts each row in two
+        pytest.param((8, 3, 5, 4), 6, 4 * _P, [32] * 5, [16] * 10, id="1"),
+        # forward blocks of 1, 2 and 2 rows; one VJP row per block
+        pytest.param((8, 3, 5, 4), 6, 8 * _P, [32, 64, 64], [32] * 5, id="2"),
+        # blocks of several rows both ways: 3 + 4 forward, 1 + 2 + 2 + 2 VJP
+        pytest.param((8, 3, 7, 4), 6, 16 * _P, [96, 128], [32, 64, 64, 64], id="rows"),
+        # uneven cuts of a 7-wide row: 3 + 4 positions forward, 1 + 2 + 2 + 2 VJP
+        pytest.param((8, 3, 3, 7), 6, 5 * _P, [24, 32] * 3, [8, 16, 16, 16] * 3, id="pieces"),
+        # the shapes the committed reports use, at the real budget
+        pytest.param((64, 16, 8, 8), 16, None, [256] * 16, [256] * 16, id="16x8x8x64"),
+        pytest.param((32, 16, 8, 8), 16, None, [256] * 8, [256] * 8, id="16x8x8x32"),
+        pytest.param((64, 3, 8, 8), 16, None, [2048] * 2, [256] * 16, id="3x8x8x64"),
+    ],
+)
+def test_conv3x3_row_blocks_match_one_block(monkeypatch, shape, dout, budget, fwd_cols, vjp_cols):
+    # B = 8 makes every block's column count (positions x B) a multiple of
+    # 8, which keeps it off OpenBLAS's edge kernel for leftover columns,
+    # so the blocked run must match a one-block run bit for bit
     rng = np.random.default_rng(21)
-    x = rng.normal(size=(2, 3, 5, 4))  # (B, C, H, W)
-    w = rng.normal(size=(6, 3, 3, 3))
-    g_bl = rng.normal(size=(6, 5, 4, 2))
+    x = rng.normal(size=shape)  # (B, C, H, W)
+    w = rng.normal(size=(dout,) + shape[1:2] + (3, 3))
     x_bl = x.transpose(1, 2, 3, 0)
+    g_bl = rng.normal(size=(dout,) + x_bl.shape[1:])
+    gemm_cols = []
+    matmul = np.matmul
+    monkeypatch.setattr(np, "matmul", lambda a, b, out: gemm_cols.append(b.shape[1]) or matmul(a, b, out=out))
 
     def forward_and_vjp():
         out = encoders._conv3x3_same(num.leaf(x_bl), w)
         ((_, vjp),) = out._edges
         return num.value_of(out), vjp(g_bl)
 
-    y1, gx1 = forward_and_vjp()
-    monkeypatch.setattr(encoders, "_COLS_BYTES", rows * 3 * 9 * 4 * 2 * 8)
+    with monkeypatch.context() as one_block:
+        one_block.setattr(encoders, "_COLS_BYTES", 1 << 60)
+        y1, gx1 = forward_and_vjp()
+    assert gemm_cols == [np.prod(x_bl.shape[1:])] * 2
+    gemm_cols.clear()
+    if budget is not None:
+        monkeypatch.setattr(encoders, "_COLS_BYTES", budget)
     y, gx = forward_and_vjp()
+    assert gemm_cols == fwd_cols + vjp_cols
     assert np.array_equal(y, y1) and np.array_equal(gx, gx1)
-    assert rel_err(y.transpose(3, 0, 1, 2), naive_conv3x3_same(x, w)) <= 1e-12
-    want = naive_conv3x3_same_vjp(g_bl.transpose(3, 0, 1, 2), w, x.shape)
-    assert rel_err(gx.transpose(3, 0, 1, 2), want) <= 1e-12
+    # each image is its own conv, so the naive loops check every image of
+    # the small cases and, to keep them under a second, the first 2 of the
+    # report shapes
+    n = 2 if budget is None else len(x)
+    assert rel_err(y[..., :n].transpose(3, 0, 1, 2), naive_conv3x3_same(x[:n], w)) <= 1e-12
+    want = naive_conv3x3_same_vjp(g_bl[..., :n].transpose(3, 0, 1, 2), w, x[:n].shape)
+    assert rel_err(gx[..., :n].transpose(3, 0, 1, 2), want) <= 1e-12
 
 
 def test_conv3x3_temporaries_stay_within_the_column_budget():
@@ -376,8 +425,8 @@ def test_conv3x3_temporaries_stay_within_the_column_budget():
 @pytest.mark.parametrize("blas", [None, "1", "2"])
 def test_import_reads_the_blas_setting_and_starts_no_thread(blas):
     # whatever BLAS thread setting the process inherits, neither the import
-    # nor a conv of several row blocks, in a process with two usable cores,
-    # starts a thread
+    # nor a conv cut into 16 blocks of row pieces, in a process that sees
+    # two usable cores, starts a thread
     env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
     env["PYTHONPATH"] = str(pathlib.Path(encoders.__file__).parents[1])
     if blas is not None:
