@@ -185,6 +185,9 @@ def run_stream(encoder, dataset, t, cfg: AdaptConfig) -> AdaptReport:
     labels feed only the metrics. Online accuracy is predict-then-adapt
     per batch; pre/post accuracies are full passes with the zero adapter
     and the final adapter, and the report keeps the features of both.
+    In ``episodic`` mode the adapter is reset before each batch is
+    predicted, so every online prediction uses the zero adapter and
+    online accuracy equals pre accuracy.
     """
     images = np.asarray(dataset.images, dtype=np.float64)
     labels = np.asarray(dataset.labels)

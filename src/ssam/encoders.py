@@ -38,7 +38,7 @@ import hashlib
 import numpy as np
 
 from . import numerics as num
-from .errors import ConfigError, DegenerateInputError, DimensionError, NumericError
+from .errors import ConfigError, DimensionError, NumericError
 
 
 # ---------------------------------------------------------------------------
@@ -61,16 +61,15 @@ def _conv3x3(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     entry (c, ky, kx, y, x, b) is the padded input's (c, y + ky, x + kx,
     b), so the whole array is one strided (C, 3, 3, H, W, B) view of the
     padded input, and a block copies its columns out of that view with
-    one ``reshape``. A block holds the most positions whose columns fit
-    ``_COLS_BYTES``: the fewest near-equal blocks of whole rows when one
-    row fits, else the fewest near-equal pieces of each row. The blocks
-    run in one loop on the calling thread, and each GEMM writes straight
-    into its columns of the output. The budget is sized to the cache
-    (Goto and van de Geijn, ACM TOMS 2008): at the default recipe every
-    16-channel GEMM sees 256 columns, 4 positions at B=64 or one row at
-    B=32. A 1,024-column block and OpenBLAS's packed copy of it overflow
-    a 2 MiB L2, and with such blocks those convs took about 1.2 times as
-    long in an adaptation stream. The partition depends on the shapes and
+    one ``reshape``. The blocks are the cells of the coarsest near-equal
+    (y, x) grid whose cells fit ``_COLS_BYTES``, row by row. They run on
+    the calling thread, and each GEMM writes straight into its columns of
+    the output. The budget is sized to the cache (Goto and van de Geijn,
+    ACM TOMS 2008): at the default recipe every 16-channel GEMM sees 256
+    columns, 4 positions at B=64 or one row at B=32. A 1,024-column block
+    and OpenBLAS's packed copy of it overflow a 2 MiB L2, and with such
+    blocks those convs took about 1.2 times as long in an adaptation
+    stream. The partition depends on the shapes and
     the budget only, never on the environment; a small conv, such as
     every one inside the finite-difference loops, is one block. Every
     output entry is the same dot product whatever the blocking. BLAS may
@@ -88,19 +87,17 @@ def _conv3x3(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     s0, s1, s2, s3 = pad.strides
     taps = np.ndarray((cin, 3, 3, h, wd, bsz), buffer=pad, strides=(s0, s1, s2, s1, s2, s3))
     fit = max(1, _COLS_BYTES // (k * bsz * 8))  # positions per block
-    if fit >= wd:
-        n = -(-h // (fit // wd))
-        blocks = [(i * h // n, (i + 1) * h // n, 0, wd) for i in range(n)]
-    else:
-        n = -(-wd // fit)
-        blocks = [(y, y + 1, j * wd // n, (j + 1) * wd // n) for y in range(h) for j in range(n)]
+    nr, nc = -(-h // max(1, fit // wd)), -(-wd // min(fit, wd))  # grid rows, columns
     wm = w.reshape(dout, k)
     out = np.empty((dout, h * wd * bsz))
-    for y0, y1, x0, x1 in blocks:
-        # no name holds the columns, so each block's are freed before the
-        # next block's are taken
-        a, b = (y0 * wd + x0) * bsz, ((y1 - 1) * wd + x1) * bsz
-        np.matmul(wm, taps[:, :, :, y0:y1, x0:x1].reshape(k, b - a), out=out[:, a:b])
+    for i in range(nr):
+        y0, y1 = i * h // nr, (i + 1) * h // nr
+        for j in range(nc):
+            x0, x1 = j * wd // nc, (j + 1) * wd // nc
+            # no name holds the columns, so each block's are freed before
+            # the next block's are taken
+            a, b = (y0 * wd + x0) * bsz, ((y1 - 1) * wd + x1) * bsz
+            np.matmul(wm, taps[:, :, :, y0:y1, x0:x1].reshape(k, b - a), out=out[:, a:b])
     return out.reshape(dout, h, wd, bsz)
 
 
@@ -389,7 +386,8 @@ class ToyConvEncoder(_FrozenEncoder):
 
 def category_matrix(rows) -> np.ndarray:
     """The fixed category matrix T: ``rows`` scaled to unit length, as a
-    read-only float64 (M, D) array with M >= 2 finite, nonzero rows."""
+    read-only float64 (M, D) array with M >= 2 finite rows whose norms
+    pass :func:`~ssam.numerics.row_norms`."""
     m = np.asarray(rows, dtype=np.float64)
     if m.ndim != 2:
         raise DimensionError(f"category matrix must be M x D, got {m.shape}")
@@ -397,11 +395,7 @@ def category_matrix(rows) -> np.ndarray:
         raise ConfigError(f"need at least 2 categories, got {m.shape[0]}")
     if not np.all(np.isfinite(m)):
         raise NumericError("category matrix contains non-finite entries")
-    norms = np.linalg.norm(m, axis=1)
-    if norms.min() <= num.ZERO_NORM_EPS:
-        row = int(np.argmin(norms))
-        raise DegenerateInputError(f"category row {row} has near-zero norm")
-    return _freeze(m / norms[:, None])
+    return _freeze(m / num.row_norms(m, "category")[:, None])
 
 
 def embed_categories(num_categories: int, dim: int, seed: int = 0) -> np.ndarray:

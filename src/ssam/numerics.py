@@ -273,11 +273,27 @@ def row_softmax(m):
     return custom_node("row_softmax", y, ((m, vjp),))
 
 
+def row_norms(x: np.ndarray, what: str) -> np.ndarray:
+    """Euclidean norms of the rows of a plain 2-D array.
+
+    A norm at or below ``ZERO_NORM_EPS`` (no direction to compare) raises
+    ``DegenerateInputError``; an infinite one, such as a sum of squares
+    that overflows, raises ``NumericError``, since dividing by it would
+    turn the row into zeros. Both name ``what`` and the first such row.
+    """
+    # np.linalg.norm's own expression for one axis, without its wrapper
+    norms = np.sqrt(np.add.reduce(x * x, axis=1))
+    if np.minimum.reduce(norms, initial=np.inf) <= ZERO_NORM_EPS:
+        raise DegenerateInputError(f"{what} row {int(np.argmin(norms))} has near-zero norm")
+    if np.maximum.reduce(norms, initial=0.0) == np.inf:
+        raise NumericError(f"{what} row {int(np.argmax(norms))} has an infinite norm")
+    return norms
+
+
 def cosine_similarity_matrix(u, v):
     """Pairwise cosine similarities: out[i, j] = cos(u_i, v_j), in [-1, 1].
 
-    Rows of either operand with norm below 1e-12 are rejected as
-    degenerate (no direction to compare).
+    The rows of both operands go through :func:`row_norms`.
     """
     uv, vv = value_of(u), value_of(v)
     _require_matrix(uv, "cosine_similarity_matrix", "u")
@@ -286,15 +302,8 @@ def cosine_similarity_matrix(u, v):
         raise DimensionError(
             f"cosine_similarity_matrix: feature dims differ, {uv.shape} vs {vv.shape}"
         )
-    # np.linalg.norm's own expression for one axis, without its wrapper
-    un = np.sqrt(np.add.reduce(uv * uv, axis=1))
-    vn = np.sqrt(np.add.reduce(vv * vv, axis=1))
-    for name, norms in (("u", un), ("v", vn)):
-        if np.minimum.reduce(norms, initial=np.inf) <= ZERO_NORM_EPS:
-            row = int(np.argmin(norms))
-            raise DegenerateInputError(
-                f"cosine_similarity_matrix: {name} row {row} has near-zero norm"
-            )
+    un = row_norms(uv, "cosine_similarity_matrix: u")
+    vn = row_norms(vv, "cosine_similarity_matrix: v")
     uhat = uv / un[:, None]
     vhat = vv / vn[:, None]
     s = uhat @ vhat.T

@@ -72,8 +72,13 @@ def regen_benchmark():
     full adaptation stream."""
     from ssam.adaptation import AdaptConfig, evaluate, run_stream
     from ssam.association import association_map
-    from ssam.bench import DEFAULT_FAMILY, class_average_heatmap, default_encoder, generate_dataset
-    from ssam.bench.synthetic import SyntheticShiftSpec
+    from ssam.bench.reports import class_average_heatmap
+    from ssam.bench.synthetic import (
+        DEFAULT_FAMILY,
+        SyntheticShiftSpec,
+        default_encoder,
+        generate_dataset,
+    )
     import ssam.numerics as num
 
     def diag_mean(feats, labels, emb):

@@ -20,20 +20,17 @@ from conftest import ACCEPTANCE_LINES, load_golden
 from oracles import naive_association, naive_prototypes, naive_reconstruction
 from ssam.adaptation import AdaptConfig, classify_batch, nearest_category, run_stream
 from ssam.association import association_map, estimate_prototypes
-from ssam.bench import (
+from ssam.bench.cli import main as cli_main
+from ssam.bench.gradcheck import gradcheck_command
+from ssam.bench.reports import DEFAULT_GRID, class_average_heatmap, run_ablation, summarize_ablation
+from ssam.bench.synthetic import (
     DEFAULT_FAMILY,
-    class_average_heatmap,
+    SyntheticShiftSpec,
     default_encoder,
     generate_dataset,
-    gradcheck_command,
     load_dataset,
-    run_ablation,
     save_dataset,
-    summarize_ablation,
 )
-from ssam.bench.cli import main as cli_main
-from ssam.bench.reports import DEFAULT_GRID
-from ssam.bench.synthetic import SyntheticShiftSpec
 from ssam.errors import FormatError
 from ssam.objectives import loss_ca, loss_entropy, reconstruct
 

@@ -15,9 +15,9 @@ import pytest
 import ssam
 from conftest import truncations_and_bit_flips
 from ssam.adaptation import AdaptConfig
-from ssam.bench import DEFAULT_FAMILY, cli, reports
+from ssam.bench import cli, reports
 from ssam.bench.cli import main
-from ssam.bench.synthetic import SyntheticShiftSpec, save_embeddings
+from ssam.bench.synthetic import DEFAULT_FAMILY, SyntheticShiftSpec, save_embeddings
 from ssam.encoders import embed_categories
 from ssam.errors import ConfigError, NumericError
 

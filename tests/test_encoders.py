@@ -663,7 +663,7 @@ class TestCategoryMatrix:
             load_embeddings(f)
 
     def test_zero_row_rejected(self):
-        with pytest.raises(DegenerateInputError):
+        with pytest.raises(DegenerateInputError, match="^category row 1 has near-zero norm$"):
             category_matrix(np.array([[1.0, 0.0], [0.0, 0.0]]))
 
     @pytest.mark.parametrize(
@@ -672,8 +672,11 @@ class TestCategoryMatrix:
             (np.ones(4), DimensionError),
             (np.ones((1, 4)), ConfigError),
             (np.array([[1.0, np.nan], [0.0, 1.0]]), NumericError),
+            # finite, but the norm overflows: the row would scale to zeros
+            (np.array([[1e200, 0.0], [0.0, 1.0]]), NumericError),
         ],
     )
+    @pytest.mark.filterwarnings("ignore:overflow")
     def test_bad_rows_rejected(self, rows, error):
         with pytest.raises(error):
             category_matrix(rows)

@@ -113,6 +113,16 @@ class TestCosineSimilarity:
         with pytest.raises(DimensionError):
             num.cosine_similarity_matrix(np.ones((2, 3)), np.ones((2, 4)))
 
+    @pytest.mark.filterwarnings("ignore:overflow")
+    @pytest.mark.parametrize("side", ["u", "v"])
+    def test_overflowing_norm_is_a_numeric_error(self, side):
+        # the sum of squares overflows, so the row would scale to zeros and
+        # read as orthogonal to everything; its true cosine here is 1
+        big, unit = np.array([[1.0, 1.0], [1e200, 1e200]]), np.array([[1.0, 1.0]])
+        u, v = (big, unit) if side == "u" else (unit, big)
+        with pytest.raises(NumericError, match=f"^cosine_similarity_matrix: {side} row 1 "):
+            num.cosine_similarity_matrix(u, v)
+
     @settings(max_examples=100)
     @given(
         st.floats(1e-3, 1e3),

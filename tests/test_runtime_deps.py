@@ -1,6 +1,7 @@
 """The runtime depends on numpy and the standard library only, only the
 CLI touches the allocator, only the ablation pool starts threads, through
-ThreadPoolExecutor, and no module reads the environment."""
+ThreadPoolExecutor, no module reads the environment, and a package's
+``__init__.py`` binds only its own submodules."""
 
 import ast
 import pathlib
@@ -113,4 +114,38 @@ def test_no_module_reads_the_environment():
             ident = getattr(node, "id", None) or getattr(node, "attr", None)
             if ident in ENV_READERS:
                 offenders.append(f"{rel}:{node.lineno}: {ident}")
+    assert not offenders, offenders
+
+
+# the names a package __init__ may bind beyond its own submodules:
+# perfbench/run.py reads these two through ssam.bench
+INIT_EXTRAS = {"bench/__init__.py": {"SyntheticShiftSpec", "default_encoder"}}
+
+
+def test_package_inits_bind_only_their_submodules():
+    # each name has one import path, the module that defines it; a
+    # re-export is a second path, and every rename or deletion must edit it
+    checked, offenders = [], []
+    for path, tree in _parsed_modules():
+        if path.name != "__init__.py":
+            continue
+        rel = path.relative_to(ROOT).as_posix()
+        checked.append(rel)
+        submodules = {
+            p.stem for p in path.parent.iterdir()
+            if p.suffix == ".py" or (p / "__init__.py").is_file()
+        } - {"__init__"}
+        for node in tree.body:
+            if isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant):
+                continue  # the docstring
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                ok = submodules if node.module is None else INIT_EXTRAS.get(rel, set())
+                offenders += [
+                    f"{rel}:{node.lineno}: {a.asname or a.name}"
+                    for a in node.names
+                    if a.asname or a.name not in ok
+                ]
+            else:
+                offenders.append(f"{rel}:{node.lineno}: {type(node).__name__}")
+    assert {"__init__.py", "bench/__init__.py"} <= set(checked), checked
     assert not offenders, offenders
