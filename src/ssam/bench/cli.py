@@ -179,7 +179,7 @@ def _pin_heap_thresholds() -> None:
     name = "CS_GNU_LIBC_VERSION"
     try:
         libc = os.confstr(name) if name in os.confstr_names else None
-    except OSError:  # a known name this system does not answer
+    except (AttributeError, OSError):  # no confstr (Windows), or a name left unanswered
         libc = None
     if not (libc or "").startswith("glibc"):
         return
@@ -197,7 +197,9 @@ def _pin_blas_threads() -> None:
     asked for, so the pool in ``ablate`` uses the cores and the reports
     keep their bits. OpenBLAS's setter, under the name this build
     exports, is looked up in the library numpy loaded; a BLAS without one
-    is left alone."""
+    is left alone, and so is a system without ``RTLD_NOLOAD`` (Windows)."""
+    if not hasattr(os, "RTLD_NOLOAD"):  # no way to open only what is loaded
+        return
     import ctypes
 
     mods = sys.modules  # numpy 2 keeps its core in numpy._core, numpy 1 in numpy.core

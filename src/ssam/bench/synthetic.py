@@ -43,11 +43,12 @@ FAMILIES = ("vit", "conv")
 # patch-embedding offsets, so conv is the benchmark default.
 DEFAULT_FAMILY = "conv"
 
-# header layout: magic at byte 0, then u32 version/count/C/H/W/M
+# header layouts: an 8-byte magic, then u32 fields, version/count/C/H/W/M
+# for .ssamds and M/D for .emb; the float32 payload follows the header
 _HEADER = struct.Struct("<8sIIIIII")
-HEADER_SIZE = _HEADER.size  # 32
-# .emb header: magic at byte 0, then u32 M/D; the rows follow at byte 16
 _EMB_HEADER = struct.Struct("<8sII")
+_POSITIVE = range(1, 1 << 32)  # the u32 values a size field may hold
+_TWO_OR_MORE = range(2, 1 << 32)
 
 
 def _json_like(value, default) -> bool:
@@ -258,45 +259,53 @@ def save_dataset(ds: Dataset, path) -> None:
         fh.write(ds.labels.tobytes())
 
 
-def load_dataset(path) -> Dataset:
+def _read_header(path, layout: struct.Struct, magic: bytes, fields) -> tuple:
+    """The bytes of ``path`` and the u32 fields of its ``layout`` header.
+    ``fields`` gives each u32 field's name and valid values; they are
+    checked in byte order, so a file with two faults names the first."""
     with open(path, "rb") as fh:
         blob = fh.read()
-    if len(blob) < HEADER_SIZE:
-        raise FormatError(
-            f"{path}: header truncated at byte {len(blob)} (need {HEADER_SIZE})"
-        )
-    magic, version, count, c, h, w, m = _HEADER.unpack_from(blob, 0)
-    if magic != DS_MAGIC:
-        raise FormatError(f"{path}: bad magic at byte 0, got {magic!r}")
-    if version != DS_VERSION:
-        raise FormatError(f"{path}: unsupported version {version} at byte 8")
-    sizes = (("count", count, 12), ("channel count", c, 16), ("height", h, 20), ("width", w, 24))
-    for name, value, offset in sizes:
-        if value == 0:
-            raise FormatError(f"{path}: image {name} 0 at byte {offset}")
-    if m < 2:
-        raise FormatError(f"{path}: class count {m} < 2 at byte 28")
-    img_bytes = 4 * count * c * h * w
-    label_offset = HEADER_SIZE + img_bytes
-    expected = label_offset + 4 * count
+    if len(blob) < layout.size:
+        raise FormatError(f"{path}: header truncated at byte {len(blob)} (need {layout.size})")
+    found, *values = layout.unpack_from(blob, 0)
+    if found != magic:
+        raise FormatError(f"{path}: bad magic at byte 0, got {found!r}")
+    for i, ((name, valid), value) in enumerate(zip(fields, values)):
+        if value not in valid:
+            raise FormatError(f"{path}: {name} {value} at byte {len(magic) + 4 * i}")
+    return blob, values
+
+
+def _payload(path, blob: bytes, start: int, n: int, what: str, tail: int = 0) -> np.ndarray:
+    """The ``n`` little-endian float32 ``what`` values at byte ``start`` of
+    ``blob``, which must end ``tail`` bytes after them; a non-finite value
+    is named by its byte."""
+    expected = start + 4 * n + tail
     if len(blob) != expected:
         raise FormatError(
-            f"{path}: expected {expected} bytes, got {len(blob)} "
-            f"(images at byte {HEADER_SIZE}, labels at byte {label_offset})"
+            f"{path}: expected {expected} bytes, got {len(blob)} ({what}s at byte {start})"
         )
-    images = np.frombuffer(blob, dtype="<f4", count=count * c * h * w, offset=HEADER_SIZE)
-    images = images.reshape(count, c, h, w)
-    if not np.all(np.isfinite(images)):
-        flat = int(np.flatnonzero(~np.isfinite(images.ravel()))[0])
-        raise FormatError(f"{path}: non-finite pixel at byte {HEADER_SIZE + 4 * flat}")
+    values = np.frombuffer(blob, dtype="<f4", count=n, offset=start)
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        raise FormatError(f"{path}: non-finite {what} at byte {start + 4 * int(bad[0])}")
+    return values
+
+
+def load_dataset(path) -> Dataset:
+    """Read a ``.ssamds`` file back as a Dataset; every malformed file
+    fails with a FormatError naming a byte offset."""
+    sizes = [(f"image {name}", _POSITIVE) for name in ("count", "channel count", "height", "width")]
+    fields = [("unsupported version", (DS_VERSION,)), *sizes, ("class count", _TWO_OR_MORE)]
+    blob, (_, count, c, h, w, m) = _read_header(path, _HEADER, DS_MAGIC, fields)
+    images = _payload(path, blob, _HEADER.size, count * c * h * w, "pixel", tail=4 * count)
+    label_offset = _HEADER.size + images.nbytes
     labels = np.frombuffer(blob, dtype="<u4", count=count, offset=label_offset)
     bad = np.flatnonzero(labels >= m)
     if bad.size:
         i = int(bad[0])
-        raise FormatError(
-            f"{path}: label {int(labels[i])} >= {m} at byte {label_offset + 4 * i}"
-        )
-    return Dataset(images, labels, num_classes=int(m))
+        raise FormatError(f"{path}: label {int(labels[i])} >= {m} at byte {label_offset + 4 * i}")
+    return Dataset(images.reshape(count, c, h, w), labels, num_classes=int(m))
 
 
 def save_embeddings(t: np.ndarray, path) -> None:
@@ -311,29 +320,12 @@ def save_embeddings(t: np.ndarray, path) -> None:
 def load_embeddings(path) -> np.ndarray:
     """Read an ``.emb`` file back as a category matrix; every malformed
     file fails with a FormatError naming a byte offset."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
+    fields = (("category count", _TWO_OR_MORE), ("feature dim", _POSITIVE))
+    blob, (m, d) = _read_header(path, _EMB_HEADER, EMB_MAGIC, fields)
     start = _EMB_HEADER.size
-    if len(blob) < start:
-        raise FormatError(f"{path}: header truncated at byte {len(blob)} (need {start} bytes)")
-    magic, m, d = _EMB_HEADER.unpack_from(blob, 0)
-    if magic != EMB_MAGIC:
-        raise FormatError(f"{path}: bad magic at byte 0, got {magic!r}")
-    if m < 2:
-        raise FormatError(f"{path}: category count {m} < 2 at byte 8")
-    if d < 1:
-        raise FormatError(f"{path}: feature dim {d} < 1 at byte 12")
-    expected = start + 4 * m * d
-    if len(blob) != expected:
-        raise FormatError(
-            f"{path}: payload size mismatch, expected {expected} bytes, "
-            f"got {len(blob)} (payload starts at byte {start})"
-        )
-    mat = np.frombuffer(blob, dtype="<f4", offset=start).reshape(m, d).astype(np.float64)
-    if not np.all(np.isfinite(mat)):
-        flat = int(np.flatnonzero(~np.isfinite(mat))[0])
-        raise FormatError(f"{path}: non-finite value at byte {start + 4 * flat}")
+    mat = _payload(path, blob, start, m * d, "value").reshape(m, d).astype(np.float64)
     norms = np.linalg.norm(mat, axis=1)
+    # a zero row needs its own rule: the unit-norm one names the row furthest from norm 1
     if norms.min() <= num.ZERO_NORM_EPS:
         row = int(np.argmin(norms))
         raise FormatError(

@@ -294,6 +294,14 @@ def test_load_rejects_zero_image_count(tmp_path):
         syn.load_dataset(p)
 
 
+def test_load_checks_the_header_in_byte_order(tmp_path):
+    # version 9 at byte 8 and a zero count at byte 12: the lower offset wins
+    p = tmp_path / "two_faults.ssamds"
+    p.write_bytes(struct.pack("<8sIIIIII", syn.DS_MAGIC, 9, 0, 3, 4, 4, 2))
+    with pytest.raises(FormatError, match="version 9 at byte 8$"):
+        syn.load_dataset(p)
+
+
 _HEADER_FIELDS = (  # (offset, struct format, values to try)
     (0, "<8s", st.binary(min_size=8, max_size=8)),
     *(

@@ -684,6 +684,23 @@ def test_blas_pin_leaves_a_library_without_a_setter_alone(monkeypatch):
     assert calls == []
 
 
+def test_cli_starts_without_the_unix_only_os_names(monkeypatch, capsys):
+    # os.confstr, os.confstr_names and os.RTLD_NOLOAD are Unix-only: where
+    # they are missing there is no glibc to pin and no BLAS setter to reach
+    import ctypes
+
+    def no_cdll(*args, **kwargs):
+        raise AssertionError("ctypes.CDLL called without the Unix-only os names")
+
+    for name in ("confstr", "confstr_names", "RTLD_NOLOAD"):
+        monkeypatch.delattr(os, name)
+    monkeypatch.setattr(ctypes, "CDLL", no_cdll)
+    cli._pin_heap_thresholds()
+    cli._pin_blas_threads()
+    assert main(["gradcheck", "--seed", "-1"]) == 1
+    assert "seed" in capsys.readouterr().err
+
+
 def test_reports_do_not_depend_on_the_inherited_blas_threads(tmp_path):
     # a conv block of 5 positions x 63 images is not a multiple of 8
     # columns, so OpenBLAS's own threading would move columns between its

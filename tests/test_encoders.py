@@ -700,6 +700,17 @@ class TestCategoryMatrix:
         with pytest.raises(FormatError, match=f"row {row} has near-zero norm at byte {offset}$"):
             load_embeddings(f)
 
+    @pytest.mark.parametrize("m, d, offset", [(1, 0, 8), (2, 0, 12)])
+    def test_header_checked_in_byte_order(self, tmp_path, m, d, offset):
+        # M at byte 8 is checked before D at byte 12; the file holds no rows,
+        # as its header says, so only a header check can reject it
+        import struct
+
+        f = tmp_path / "header.emb"
+        f.write_bytes(b"SSAMEMB1" + struct.pack("<II", m, d))
+        with pytest.raises(FormatError, match=f"at byte {offset}$"):
+            load_embeddings(f)
+
     def test_header_damage_fitting_a_truncation_rejected(self, tmp_path):
         # feature dim 3 -> 1 (one bit at byte 12) and the file cut to 2 x 1
         # floats: the sizes agree, but the rows are no longer unit vectors

@@ -1,7 +1,8 @@
 """The runtime depends on numpy and the standard library only, only the
 CLI touches the allocator, only the ablation pool starts threads, through
-ThreadPoolExecutor, no module reads the environment, and a package's
-``__init__.py`` binds only its own submodules."""
+ThreadPoolExecutor, no module reads the environment, a package's
+``__init__.py`` binds only its own submodules, and every FormatError
+names a byte."""
 
 import ast
 import pathlib
@@ -148,4 +149,30 @@ def test_package_inits_bind_only_their_submodules():
             else:
                 offenders.append(f"{rel}:{node.lineno}: {type(node).__name__}")
     assert {"__init__.py", "bench/__init__.py"} <= set(checked), checked
+    assert not offenders, offenders
+
+
+def _literal_text(node) -> str:
+    """The literal text of a string or f-string expression."""
+    if isinstance(node, ast.JoinedStr):
+        return "".join(_literal_text(part) for part in node.values)
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return node.value
+    return ""
+
+
+def test_every_format_error_names_a_byte():
+    # every malformed input file must fail with a byte offset: a
+    # FormatError whose message has no "byte" in its text names none
+    raised, offenders = [], []
+    for path, tree in _parsed_modules():
+        rel = path.relative_to(ROOT).as_posix()
+        for node in ast.walk(tree):
+            func = getattr(node, "func", None)
+            if (getattr(func, "id", None) or getattr(func, "attr", None)) != "FormatError":
+                continue
+            raised.append(f"{rel}:{node.lineno}")
+            if not node.args or "byte" not in _literal_text(node.args[0]):
+                offenders.append(raised[-1])
+    assert raised, "no FormatError raised under src/ssam"
     assert not offenders, offenders
