@@ -115,27 +115,6 @@ def _conv3x3_same(x, w: np.ndarray):
     return num.custom_node("conv3x3_same", _conv3x3(num.value_of(x), w), ((x, vjp),))
 
 
-def tile_tokens(tokens, grid: tuple[int, int]):
-    """Tile tokens (N, D) into a (D, grid_h*s, grid_w*s) map.
-
-    With s the encoders' ``patch_side``, token i (row-major over the grid)
-    fills the s x s block at grid cell i in every channel, so the blocks
-    partition the spatial extent: each coordinate receives one token.
-    """
-    gh, gw = grid
-    s = _FrozenEncoder.patch_side
-    tv = num.value_of(tokens)
-    n, d = tv.shape
-    planes = tv.reshape(gh, gw, d).transpose(2, 0, 1)
-    out = np.repeat(np.repeat(planes, s, axis=1), s, axis=2)
-
-    def vjp(g):
-        pooled = g.reshape(d, gh, s, gw, s).sum(axis=(2, 4))
-        return pooled.transpose(1, 2, 0).reshape(n, d)
-
-    return num.custom_node("tile_tokens", out, ((tokens, vjp),))
-
-
 # ---------------------------------------------------------------------------
 # adapters
 
@@ -150,18 +129,31 @@ def apply_adapter_vit(patches, tokens):
 
 def apply_adapter_conv(featmap, tokens):
     """Add each token, tiled s x s (s the encoders' ``patch_side``), to its
-    spatial patch of every image of a batch-last (D, H, W, B) feature map."""
+    spatial patch of every image of a batch-last (D, H, W, B) feature map.
+
+    Token i (row-major over the patch grid) fills the s x s block at grid
+    cell i in every channel, so the blocks partition the spatial extent:
+    each coordinate receives one token. The tile is one ``tile_tokens``
+    node of shape (D, H, W, 1), which ``num.add`` broadcasts over the batch.
+    """
     fv, tv = num.value_of(featmap), num.value_of(tokens)
     d, h, w, _ = fv.shape
     s = _FrozenEncoder.patch_side
     if h % s or w % s:
         raise ConfigError(f"feature map {h}x{w} not divisible by patch side {s}")
-    grid = (h // s, w // s)
-    if tv.shape != (grid[0] * grid[1], d):
+    gh, gw = h // s, w // s
+    if tv.shape != (gh * gw, d):
         raise DimensionError(
-            f"adapter shape {tv.shape} does not match grid {grid} with {d} channels"
+            f"adapter shape {tv.shape} does not match grid {(gh, gw)} with {d} channels"
         )
-    return num.add(featmap, num.reshape(tile_tokens(tokens, grid), (d, h, w, 1)))
+    planes = tv.reshape(gh, gw, d).transpose(2, 0, 1)
+    tile = np.repeat(np.repeat(planes, s, axis=1), s, axis=2)[..., None]
+
+    def vjp(g):
+        pooled = g.reshape(d, gh, s, gw, s).sum(axis=(2, 4))
+        return pooled.transpose(1, 2, 0).reshape(gh * gw, d)
+
+    return num.add(featmap, num.custom_node("tile_tokens", tile, ((tokens, vjp),)))
 
 
 # ---------------------------------------------------------------------------

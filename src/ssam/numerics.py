@@ -151,11 +151,10 @@ def gradient(out: Var, wrt: Var) -> np.ndarray:
     order = _toposort(out)
     grads: dict[int, np.ndarray] = {id(out): np.ones_like(out.value)}
     for node in reversed(order):
-        # every node comes before its parents, so its gradient is complete
-        # here and is dropped once its vjps have run; wrt's is the result
-        g = grads.get(id(node)) if node is wrt else grads.pop(id(node), None)
-        if g is None:
-            continue
+        # every node comes before its parents, and each node but ``out`` is
+        # a parent of one before it, so its gradient is complete here; it is
+        # dropped once its vjps have run, except wrt's, which is the result
+        g = grads[id(node)] if node is wrt else grads.pop(id(node))
         for parent, vjp in node._edges:
             pg = vjp(g)
             acc = grads.get(id(parent))

@@ -367,6 +367,11 @@ def test_dataset_constructor_guards():
         syn.Dataset(imgs, np.array([0], dtype="<u4"), num_classes=2)
 
 
+def test_dataset_images_must_be_four_dimensional():
+    with pytest.raises(ConfigError, match=re.escape("images must be (n, C, H, W)")):
+        syn.Dataset(np.zeros((2, 3, 4)), np.array([0, 1]), num_classes=2)
+
+
 def test_companion_embeddings_round_trip(tmp_path):
     bench = syn.generate_dataset(tiny_spec())
     p = tmp_path / "d.ssamds"

@@ -22,7 +22,6 @@ from ssam.encoders import (
     apply_adapter_vit,
     category_matrix,
     embed_categories,
-    tile_tokens,
 )
 from ssam.errors import (
     ConfigError,
@@ -185,7 +184,7 @@ class TestAdapterConv:
         gh, gw, s, d = 3, 2, 2, 4
         ids = np.arange(1.0, gh * gw + 1.0)
         tokens = np.repeat(ids[:, None], d, axis=1)
-        tiled = num.value_of(tile_tokens(tokens, (gh, gw)))
+        tiled = apply_adapter_conv(np.zeros((d, gh * s, gw * s, 1)), tokens)[..., 0]
         assert tiled.shape == (d, gh * s, gw * s)
         for c in range(d):
             vals, counts = np.unique(tiled[c], return_counts=True)
@@ -579,6 +578,17 @@ def test_vit_suffix_has_eleven_tape_nodes_per_block(insertion):
     nodes = num._toposort(enc.suffix(prefix, num.leaf(tokens)))
     # the token leaf, the adapter add and the mean pool, then 11 per block
     assert len(nodes) == 3 + 11 * (enc.num_blocks - insertion)
+
+
+def test_conv_suffix_has_eleven_tape_nodes():
+    enc = ToyConvEncoder()
+    rng = np.random.default_rng(6)
+    prefix = enc.prefix(rng.normal(size=(2,) + enc.image_shape))
+    tokens = rng.normal(0.0, 0.2, enc.adapter_shape)
+    nodes = num._toposort(enc.suffix(prefix, num.leaf(tokens)))
+    # the token leaf, the tile and the adapter add, two convs, three tanh,
+    # two mean pools and the transpose
+    assert len(nodes) == 11
 
 
 def test_prefix_rejects_nonfinite_images():

@@ -174,6 +174,12 @@ class TestValueAndGradient:
             with pytest.raises(DimensionError, match=re.escape(f"got shape {shape}")):
                 num.value_and_gradient(f, np.array([1.0, 2.0]))
 
+    @pytest.mark.filterwarnings("ignore:overflow")
+    def test_non_finite_gradient_of_a_finite_forward(self):
+        # log(1e-320) is finite, but its VJP 1 / 1e-320 overflows
+        with pytest.raises(NumericError, match="backward pass produced a non-finite gradient"):
+            num.value_and_gradient(lambda x: num.total_sum(num.log(x)), np.array([1e-320]))
+
     def test_non_finite_intermediate_names_primitive(self):
         with pytest.raises(NumericError, match="log"):
             num.value_and_gradient(
@@ -292,12 +298,33 @@ def test_gradient_keeps_the_gradient_of_an_interior_wrt():
     assert np.array_equal(num.gradient(out, mid), 2.0 * mid.value)
 
 
+def test_gradient_of_an_unreachable_wrt_is_zeros():
+    out = num.total_sum(num.leaf(np.ones(2)))
+    assert np.array_equal(num.gradient(out, num.leaf(np.ones(3))), np.zeros(3))
+
+
 def test_gradient_accumulates_over_reused_node():
     # x appears twice; adjoints must add
     f = lambda x: num.total_sum(num.mul(x, x))
     res = num.value_and_gradient(f, np.array([[3.0]]))
     assert res.gradient[0, 0] == pytest.approx(6.0)
 
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (
+            lambda: num.cosine_similarity_matrix(np.ones(3), np.ones((2, 3))),
+            "cosine_similarity_matrix: u must be 2-D, got shape (3,)",
+        ),
+        (lambda: num.transpose(np.ones(3)), "transpose: input must be at least 2-D"),
+        (lambda: num.diag_part(np.ones((2, 3))), "diag_part: matrix must be square"),
+    ],
+    ids=["cosine-1d", "transpose-1d", "diag-part-2x3"],
+)
+def test_shape_errors_name_the_primitive(call, message):
+    with pytest.raises(DimensionError, match=re.escape(message)):
+        call()
 
 
 # ---------------------------------------------------------------------------

@@ -119,6 +119,10 @@ class TestLossCa:
         with pytest.raises(ConfigError):
             loss_ca(np.array([[1.0, 0.0]]), np.array([[1.0, 0.0]]))
 
+    def test_prototype_and_category_counts_must_match(self):
+        with pytest.raises(DimensionError, match="3 prototypes vs 2 categories"):
+            loss_ca(np.eye(3, 4), np.eye(2, 4))
+
 
 class TestLossEntropy:
     def test_one_hot_rows(self):
