@@ -8,11 +8,8 @@ timings stay on the in-memory report objects only.
 
 from __future__ import annotations
 
-import csv
 import dataclasses
-import hashlib
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,6 +90,8 @@ class ReportBundle:
 
 
 def run_experiment(encoder, dataset, emb, cfg: AdaptConfig) -> ReportBundle:
+    import hashlib  # here: only `ssam adapt` checksums an adapter
+
     report = run_stream(encoder, dataset, emb, cfg)
     labels = np.asarray(dataset.labels, dtype=np.int64)
     m = emb.shape[0]
@@ -141,6 +140,8 @@ def _fmt(v):
 
 
 def _write_rows(path, header, rows):
+    import csv  # here: only `ssam adapt` and `ssam ablate` write CSVs
+
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(header)
@@ -264,6 +265,8 @@ def run_ablation(
             "post_accuracy": rep.post_accuracy,
             "online_accuracy": rep.online_accuracy,
         }
+
+    from concurrent.futures import ThreadPoolExecutor  # here: only `ssam ablate` runs a pool
 
     with ThreadPoolExecutor(max_workers=usable_cores()) as pool:
         runs = dict(zip(streams, pool.map(run_one, streams)))

@@ -17,7 +17,6 @@ trivial.
 from __future__ import annotations
 
 import dataclasses
-import json
 import math
 import struct
 from dataclasses import dataclass
@@ -66,6 +65,8 @@ def read_json_object(path, what: str, defaults: dict) -> dict:
     those of ``defaults`` and each value typed like its default (see
     :func:`_json_like`). Every rejection is a ConfigError that names the
     file; bad UTF-8 and bad JSON also name the byte offset."""
+    import json  # here: only `ssam gen-data --spec` and `ssam ablate --grid` read JSON
+
     with open(path, "rb") as fh:
         blob = fh.read()
     try:

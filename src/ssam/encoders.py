@@ -33,8 +33,6 @@ image batches only, (B, C, H, W) with B >= 1.
 
 from __future__ import annotations
 
-import hashlib
-
 import numpy as np
 
 from . import numerics as num
@@ -226,6 +224,8 @@ class _FrozenEncoder:
         return np.zeros(self.adapter_shape)
 
     def weights_checksum(self) -> str:
+        import hashlib  # here: no `ssam` command checksums the weights
+
         digest = hashlib.sha256()
         for arr in self._weight_arrays():
             digest.update(arr.tobytes())

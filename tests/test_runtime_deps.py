@@ -1,11 +1,14 @@
 """The runtime depends on numpy and the standard library only, only the
 CLI touches the allocator, only the ablation pool starts threads, through
 ThreadPoolExecutor, no module reads the environment, a package's
-``__init__.py`` binds only its own submodules, and every FormatError
-names a byte."""
+``__init__.py`` binds only its own submodules, every FormatError names a
+byte, and a fresh ``import ssam.bench.cli`` loads none of the standard
+modules that only some commands use (``concurrent.futures``, ``hashlib``,
+``json``, ``csv``): each is imported inside the function that needs it."""
 
 import ast
 import pathlib
+import subprocess
 import sys
 
 import ssam
@@ -176,3 +179,54 @@ def test_every_format_error_names_a_byte():
                 offenders.append(raised[-1])
     assert raised, "no FormatError raised under src/ssam"
     assert not offenders, offenders
+
+
+# each is imported inside the functions that use it, so a command that
+# does not need one never pays for its import
+DEFERRED = ("concurrent.futures", "csv", "hashlib", "json")
+
+
+def _deferred_loaded_after(tmp_path, stages) -> list:
+    """Run ``stages`` in order in a fresh interpreter; after each, the
+    deferred modules then in ``sys.modules``."""
+    lines = [f"sys.path.insert(0, {str(ROOT.parent)!r})"]
+    for stage in stages:
+        lines += [stage, f"print('loaded:', *[m for m in {DEFERRED!r} if m in sys.modules])"]
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys\n" + "\n".join(lines)],
+        capture_output=True, text=True, cwd=tmp_path,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return [line.split()[1:] for line in proc.stdout.splitlines() if line.startswith("loaded:")]
+
+
+def test_a_fresh_cli_loads_each_deferred_module_only_where_it_is_used(tmp_path):
+    (tmp_path / "spec.json").write_text(
+        '{"num_classes": 2, "images_per_class": 4, "image_shape": [3, 4, 4], "seed": 3}'
+    )
+    (tmp_path / "grid.json").write_text('{"alpha": [], "beta": []}')
+    run = "assert cli.main({}) == 0"
+    data = ["--data", "tiny.ssamds", "--steps", "1"]
+    numpy_alone, *loaded = _deferred_loaded_after(tmp_path, [
+        "import numpy",
+        "import ssam.bench.cli as cli",
+        # an encoder whose weights were not drawn: numpy.random, which
+        # every command draws from, imports hashlib itself (via secrets)
+        "from ssam.encoders import ToyConvEncoder\n"
+        "enc = object.__new__(ToyConvEncoder)\n"
+        "enc.w1 = enc.w2 = enc.w3 = numpy.zeros(3)\n"
+        "enc.weights_checksum()",
+        run.format(["gen-data", "--out", "default.ssamds"]),
+        run.format(["gen-data", "--spec", "spec.json", "--out", "tiny.ssamds"]),
+        run.format(["ablate", *data, "--grid", "grid.json", "--seeds", "1"]),
+        run.format(["adapt", *data, "--report", "out"]),
+    ])
+    assert numpy_alone in ([], ["hashlib"])  # numpy 1.x imports numpy.random eagerly
+    assert loaded == [
+        numpy_alone,  # import ssam.bench.cli
+        ["hashlib"],  # weights_checksum
+        ["hashlib"],  # gen-data without --spec
+        ["hashlib", "json"],  # read_json_object
+        ["concurrent.futures", "hashlib", "json"],  # run_ablation's pool
+        list(DEFERRED),  # _write_rows
+    ]
