@@ -2,16 +2,25 @@
 CLI touches the allocator, only the ablation pool starts threads, through
 ThreadPoolExecutor, no module reads the environment, a package's
 ``__init__.py`` binds only its own submodules, every FormatError names a
-byte, and a fresh ``import ssam.bench.cli`` loads none of the standard
+byte, a fresh ``import ssam.bench.cli`` loads none of the standard
 modules that only some commands use (``concurrent.futures``, ``hashlib``,
-``json``, ``csv``): each is imported inside the function that needs it."""
+``json``, ``csv``): each is imported inside the function that needs it,
+and every name that ``perfbench/`` reads or rebinds resolves where it
+looks it up."""
 
 import ast
+import importlib
 import pathlib
 import subprocess
 import sys
 
+import numpy as np
+
 import ssam
+import ssam.numerics as num
+from ssam.adaptation import AdaptConfig, adapt_batch
+from ssam.bench.synthetic import default_encoder
+from ssam.encoders import embed_categories
 
 ALLOWED = set(sys.stdlib_module_names) | {"numpy", "ssam"}
 ROOT = pathlib.Path(ssam.__file__).resolve().parent
@@ -230,3 +239,70 @@ def test_a_fresh_cli_loads_each_deferred_module_only_where_it_is_used(tmp_path):
         ["concurrent.futures", "hashlib", "json"],  # run_ablation's pool
         list(DEFERRED),  # _write_rows
     ]
+
+
+# README's "Performance benchmark" list of the names of src/ssam that
+# perfbench/ reads or rebinds by name: the module attributes, the class
+# attributes it reads, the methods it wraps through ``vars(cls)`` (so
+# each class must define its own), and the tape ops it times by name.
+# A source change that drops one breaks only the benchmark's run.
+PERFBENCH_ATTRIBUTES = {
+    "ssam.numerics": (
+        "custom_node", "Var", "value_and_gradient", "gradient", "_toposort",
+        "finite_difference_gradient",
+    ),
+    "ssam.encoders": ("ToyConvEncoder", "ToyViTEncoder"),
+    "ssam.adaptation": (
+        "AdamOptimizer", "SgdOptimizer", "run_stream", "adapt_batch", "classify_batch",
+        "evaluate",
+    ),
+    "ssam.association": ("association_map", "estimate_prototypes"),
+    "ssam.objectives": ("total_objective", "loss_entropy", "loss_pir", "loss_ca", "reconstruct"),
+    "ssam.bench.reports": ("run_experiment", "write_report", "run_ablation", "write_ablation"),
+    "ssam.bench.synthetic": (
+        "generate_dataset", "save_benchmark", "load_dataset", "load_companion_embeddings",
+    ),
+    "ssam.bench.gradcheck": ("gradcheck_command",),
+    "ssam.bench.cli": ("main",),
+    "ssam.bench": ("SyntheticShiftSpec", "default_encoder"),
+}
+PERFBENCH_CLASSES = {
+    ("ssam.encoders", "ToyConvEncoder"): (("family", "weights_checksum"), ("__init__", "encode_batch")),
+    ("ssam.encoders", "ToyViTEncoder"): (("family", "weights_checksum"), ("__init__", "encode_batch")),
+    ("ssam.adaptation", "AdamOptimizer"): ((), ("step",)),
+    ("ssam.adaptation", "SgdOptimizer"): ((), ("step",)),
+}
+PERFBENCH_OPS = {"conv3x3_same", "tile_tokens", "tanh", "row_softmax", "cosine_similarity_matrix"}
+
+
+def test_every_name_perfbench_binds_resolves_where_it_looks():
+    missing = []
+    for module, names in PERFBENCH_ATTRIBUTES.items():
+        found = vars(importlib.import_module(module))
+        missing += [f"{module}.{n}" for n in names if n not in found]
+    for (module, name), (read, wrapped) in PERFBENCH_CLASSES.items():
+        cls = getattr(importlib.import_module(module), name)
+        missing += [f"{name}.{n}" for n in read if not hasattr(cls, n)]
+        missing += [f"vars({name})[{n!r}]" for n in wrapped if n not in vars(cls)]
+    assert not missing, missing
+
+
+def test_a_conv_step_and_a_vit_step_send_the_ops_perfbench_times(monkeypatch):
+    # perfbench times each VJP under the op name its custom_node call
+    # gives; an op it names that no step builds on the tape reads 0
+    sent = set()
+    custom_node = num.custom_node
+
+    def recording(op, out, edges):
+        edges = tuple(edges)
+        if any(type(p) is num.Var for p, _ in edges):
+            sent.add(op)
+        return custom_node(op, out, edges)
+
+    monkeypatch.setattr(num, "custom_node", recording)
+    images = np.random.default_rng(3).normal(size=(4, 3, 8, 8))
+    for family in ("conv", "vit"):
+        enc = default_encoder(family, images.shape[1:])
+        t = embed_categories(3, enc.dim)
+        adapt_batch(enc, images, enc.new_adapter(), t, AdaptConfig(steps_per_batch=1))
+    assert PERFBENCH_OPS <= sent, sorted(PERFBENCH_OPS - sent)
