@@ -3,9 +3,8 @@
 Only the adapter tokens are ever updated; encoder weights and the
 category matrix stay frozen (their checksums are the caller's witness).
 Labels are consumed exclusively by the accuracy metrics, never by the
-adaptation path. Batches are processed in a seeded shuffled order;
-``continual`` mode carries one adapter (and its Adam state) across the
-whole stream, ``episodic`` mode restarts both for every batch.
+adaptation path. Batches are processed in a seeded shuffled order, and
+one adapter (with its Adam state) is carried across the whole stream.
 """
 
 from __future__ import annotations
@@ -19,20 +18,18 @@ from . import numerics as num
 from .errors import ConfigError, NumericError
 from .objectives import LossBreakdown, check_loss_weights, total_objective
 
-MODES = ("continual", "episodic")
-
 
 @dataclass
 class AdaptConfig:
     """Adaptation settings. The defaults are the recipe the benchmark is
-    quoted at; the command line takes its defaults from here."""
+    quoted at; the command line takes its defaults from here, and a run's
+    summary report lists the fields in this order."""
 
     alpha: float = 1.0
     beta: float = 1.0
     learning_rate: float = 1e-4
     batch_size: int = 64
     steps_per_batch: int = 50
-    mode: str = "continual"
     seed: int = 0
 
     def __post_init__(self):
@@ -48,8 +45,6 @@ class AdaptConfig:
             raise ConfigError(f"steps per batch must be >= 0, got {self.steps_per_batch}")
         if self.seed < 0:  # numpy's generators take seeds >= 0
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        if self.mode not in MODES:
-            raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
 
 
 @dataclass
@@ -185,9 +180,6 @@ def run_stream(encoder, dataset, t, cfg: AdaptConfig) -> AdaptReport:
     labels feed only the metrics. Online accuracy is predict-then-adapt
     per batch; pre/post accuracies are full passes with the zero adapter
     and the final adapter, and the report keeps the features of both.
-    In ``episodic`` mode the adapter is reset before each batch is
-    predicted, so every online prediction uses the zero adapter and
-    online accuracy equals pre accuracy.
     """
     images = np.asarray(dataset.images, dtype=np.float64)
     labels = np.asarray(dataset.labels)
@@ -201,9 +193,6 @@ def run_stream(encoder, dataset, t, cfg: AdaptConfig) -> AdaptReport:
     online_hits = 0
     rng = np.random.default_rng(cfg.seed)
     for idx in _batches(n, cfg.batch_size, rng):
-        if cfg.mode == "episodic":
-            adapter = encoder.new_adapter()
-            optimizer = AdamOptimizer(cfg.learning_rate)
         preds = classify_batch(encoder, images[idx], adapter, t)
         online_hits += int((preds == labels[idx]).sum())
         adapter, bds = adapt_batch(encoder, images[idx], adapter, t, cfg, optimizer)

@@ -15,7 +15,7 @@ import dataclasses
 import os
 import sys
 
-from ..adaptation import MODES, AdaptConfig
+from ..adaptation import AdaptConfig
 from ..errors import ConfigError, DegenerateInputError, FormatError, NumericError
 from . import gradcheck as gc
 from .reports import (
@@ -53,7 +53,6 @@ def _add_run_flags(p: _Parser, report_help: str) -> None:
     p.add_argument("--data", required=True)
     p.add_argument("--report", help=report_help)
     p.add_argument("--encoder", choices=FAMILIES, default=DEFAULT_FAMILY)
-    p.add_argument("--mode", choices=MODES, default=AdaptConfig.mode)
     p.add_argument("--lr", dest="learning_rate", type=float, default=AdaptConfig.learning_rate)
     p.add_argument("--batch", dest="batch_size", type=int, default=AdaptConfig.batch_size)
     p.add_argument("--steps", dest="steps_per_batch", type=int,

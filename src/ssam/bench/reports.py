@@ -103,13 +103,7 @@ def run_experiment(encoder, dataset, emb, cfg: AdaptConfig) -> ReportBundle:
         "encoder_family": encoder.family,
         "num_images": int(labels.size),
         "num_categories": int(m),
-        "mode": cfg.mode,
-        "alpha": cfg.alpha,
-        "beta": cfg.beta,
-        "learning_rate": cfg.learning_rate,
-        "batch_size": cfg.batch_size,
-        "steps_per_batch": cfg.steps_per_batch,
-        "seed": cfg.seed,
+        **dataclasses.asdict(cfg),
         "pre_accuracy": report.pre_accuracy,
         "post_accuracy": report.post_accuracy,
         "online_accuracy": report.online_accuracy,

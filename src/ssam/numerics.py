@@ -57,13 +57,14 @@ class Var:
 
     Leaves are created with :func:`leaf`; interior nodes are created by the
     operations in this module (or by :func:`custom_node` for operations
-    defined elsewhere). Values are never mutated after construction.
+    defined elsewhere), which pass a float64 ndarray; it is stored as
+    given. Values are never mutated after construction.
     """
 
     __slots__ = ("value", "_edges")
 
     def __init__(self, value: np.ndarray, edges: tuple = ()) -> None:
-        self.value = np.asarray(value, dtype=np.float64)
+        self.value = value
         self._edges = edges
 
     @property

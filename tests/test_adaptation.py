@@ -75,7 +75,6 @@ class TestAdaptConfig:
         assert cfg.alpha == 1.0 and cfg.beta == 1.0
         assert cfg.learning_rate == 1e-4
         assert cfg.batch_size == 64 and cfg.steps_per_batch == 50
-        assert cfg.mode == "continual"
         assert cfg.seed == 0
         assert AdaptConfig(seed=5).seed == 5
 
@@ -87,7 +86,7 @@ class TestAdaptConfig:
             {"learning_rate": -1e-4},
             {"batch_size": 0},
             {"steps_per_batch": -1},
-            {"mode": "weekly"},
+            {"batch_size": -3},
             {"alpha": float("nan")},
             {"alpha": float("inf")},
             {"beta": float("nan")},
@@ -97,7 +96,7 @@ class TestAdaptConfig:
             {"alpha": float("-inf")},
             {"beta": float("-inf")},
             {"learning_rate": float("-inf")},
-            {"mode": "Continual"},
+            {"steps_per_batch": -50},
             {"seed": -1},
         ],
     )
@@ -276,15 +275,6 @@ class TestRunStream:
         assert rep.online_accuracy == rep.pre_accuracy
         assert rep.history == []
         assert not rep.adapter.any()
-
-    def test_single_batch_modes_agree(self):
-        enc, emb, _ = _batch_setup()
-        ds = self._dataset(enc, n=10)
-        base = dict(batch_size=32, learning_rate=1e-2, steps_per_batch=3, seed=9)
-        rep_c = run_stream(enc, ds, emb, AdaptConfig(mode="continual", **base))
-        rep_e = run_stream(enc, ds, emb, AdaptConfig(mode="episodic", **base))
-        assert np.array_equal(rep_c.adapter, rep_e.adapter)
-        assert [b.total for b in rep_c.history] == [b.total for b in rep_e.history]
 
     def test_deterministic(self):
         enc, emb, _ = _batch_setup()

@@ -85,7 +85,6 @@ def test_default_recipe_pins_frozen_settings():
     assert cfg.alpha == 1.0 and cfg.beta == 1.0
     assert cfg.learning_rate == 1e-4
     assert cfg.batch_size == 64 and cfg.steps_per_batch == 50
-    assert cfg.mode == "continual"
     assert cfg.seed == 5
 
 
@@ -471,6 +470,17 @@ def test_run_experiment_zero_steps_pre_equals_post():
     assert np.array_equal(bundle.association_pre, bundle.association_post)
     assert bundle.loss_curve == []
     assert s["dispersion_pre"] == s["dispersion_post"]
+
+
+def test_summary_recipe_rows_are_the_adapt_config_fields_in_order():
+    enc, ds, emb = _tiny_run_inputs()
+    cfg = AdaptConfig(batch_size=4, steps_per_batch=1)
+    summary = reports.run_experiment(enc, ds, emb, cfg).summary
+    recipe = [f.name for f in dataclasses.fields(AdaptConfig)]
+    results = ["pre_accuracy", "post_accuracy", "online_accuracy",
+               "dispersion_pre", "dispersion_post", "adapter_checksum"]
+    assert list(summary) == ["encoder_family", "num_images", "num_categories", *recipe, *results]
+    assert {k: summary[k] for k in recipe} == dataclasses.asdict(cfg)
 
 
 def test_write_report_is_byte_deterministic(tmp_path):

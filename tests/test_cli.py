@@ -184,10 +184,6 @@ def test_adapt_nonfinite_setting_is_exit_1(tmp_path, tiny_data, capsys, flag, va
     assert not report.exists()
 
 
-def test_adapt_episodic_mode(tiny_data):
-    assert main(_adapt_args(tiny_data, mode="episodic")) == 0
-
-
 def test_adapt_missing_data_is_exit_1(tmp_path, capsys):
     rc = main(_adapt_args(tmp_path / "absent.ssamds"))
     assert rc == 1
@@ -329,8 +325,8 @@ def test_gen_data_float32_overflow_is_exit_1(tmp_path, capsys, over):
 @pytest.mark.parametrize(
     "command, fields",
     [
-        ("adapt", {"alpha", "beta", "learning_rate", "batch_size", "steps_per_batch", "mode", "seed"}),
-        ("ablate", {"learning_rate", "batch_size", "steps_per_batch", "mode"}),
+        ("adapt", {"alpha", "beta", "learning_rate", "batch_size", "steps_per_batch", "seed"}),
+        ("ablate", {"learning_rate", "batch_size", "steps_per_batch"}),
     ],
 )
 def test_run_flag_defaults_are_the_recipe(command, fields):
@@ -541,7 +537,7 @@ def test_failing_ablate_cell_names_itself(tiny_data, monkeypatch, capsys):
 
 def test_bad_usage_is_exit_1(capsys):
     assert main(["no-such-command"]) == 1
-    assert main(["adapt", "--mode", "sideways", "--data", "x"]) == 1
+    assert main(["adapt", "--encoder", "sideways", "--data", "x"]) == 1
     assert main(["gen-data"]) == 1  # --out is required
     capsys.readouterr()
 
@@ -737,3 +733,15 @@ def test_every_cli_flag_is_documented_in_the_readme():
         if flag not in ("-h", "--help") and not re.search(rf"(?<![\w-]){re.escape(flag)}(?![\w-])", readme)
     ]
     assert missing == []
+
+
+def test_readme_adapt_recipe_is_at_the_defaults():
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("Adapt on the stream", 1)[1].split("```\n")[1]
+    prog, *argv = block.replace("\\\n", " ").split()
+    assert prog == "ssam" and argv[0] == "adapt"
+    shown = cli._build_parser().parse_args(argv)
+    # the two paths have no default; every other flag shown must be at it
+    assert shown == cli._build_parser().parse_args(
+        ["adapt", "--data", shown.data, "--report", shown.report]
+    )

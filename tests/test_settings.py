@@ -23,7 +23,6 @@ def test_settings_are_pinned():
             "learning_rate",
             "batch_size",
             "steps_per_batch",
-            "mode",
             "seed",
         ],
         LossBreakdown: ["l_ent", "l_pir", "l_ca", "total"],
