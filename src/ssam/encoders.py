@@ -18,10 +18,7 @@ of a strided view of the padded input, and each conv's GEMM output is
 already the next layer's input. Each conv cuts its output positions
 into blocks of whole rows, or of pieces of a row, whose im2col columns
 fit a fixed cache-sized budget, and runs them in one loop on the
-calling thread. The two convs after the adapter are each one tape node
-with the tanh after it, op ``conv3x3_same``, which tests the conv's
-output for a non-finite entry before the tanh could map it to +-1, so
-the tape holds no conv output.
+calling thread.
 
 Weights are drawn from a seeded generator at construction, marked
 read-only, and never change afterwards; adaptation only ever touches the
@@ -55,18 +52,8 @@ _COLS_BYTES = 512 << 10
 
 def _conv3x3(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     """3x3 same-padding conv on batch-last plain arrays, (C, H, W, B) x
-    (D, C, 3, 3) -> (D, H, W, B): :func:`_conv3x3_padded` of ``x`` in a
-    zero border one entry wide."""
-    cin, h, wd, bsz = x.shape
-    pad = np.zeros((cin, h + 2, wd + 2, bsz))
-    pad[:, 1:-1, 1:-1] = x
-    return _conv3x3_padded(pad, w)
-
-
-def _conv3x3_padded(pad: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """The 3x3 conv of the (C, H + 2, W + 2, B) zero-bordered input ``pad``
-    with (D, C, 3, 3) ``w``, a (D, H, W, B) map, as im2col GEMMs over
-    blocks of output positions (y, x).
+    (D, C, 3, 3) -> (D, H, W, B), as im2col GEMMs over blocks of output
+    positions (y, x).
 
     The column array keeps the kernel's (c, ky, kx) row order. Its
     entry (c, ky, kx, y, x, b) is the padded input's (c, y + ky, x + kx,
@@ -91,9 +78,10 @@ def _conv3x3_padded(pad: np.ndarray, w: np.ndarray) -> np.ndarray:
     default recipe, and the CLI runs OpenBLAS on one thread so that its
     reports never depend on the inherited thread setting.
     """
-    cin, h, wd, bsz = pad.shape
-    h, wd = h - 2, wd - 2
+    cin, h, wd, bsz = x.shape
     dout, k = w.shape[0], cin * 9
+    pad = np.zeros((cin, h + 2, wd + 2, bsz))
+    pad[:, 1:-1, 1:-1] = x
     s0, s1, s2, s3 = pad.strides
     taps = np.ndarray((cin, 3, 3, h, wd, bsz), buffer=pad, strides=(s0, s1, s2, s1, s2, s3))
     fit = max(1, _COLS_BYTES // (k * bsz * 8))  # positions per block
@@ -111,30 +99,22 @@ def _conv3x3_padded(pad: np.ndarray, w: np.ndarray) -> np.ndarray:
     return out.reshape(dout, h, wd, bsz)
 
 
-def _conv3x3_tanh(x, w: np.ndarray):
-    """Graph node for tanh(conv(x, w)), op ``conv3x3_same``; gradients
+def _conv3x3_same(x, w: np.ndarray):
+    """Graph node for :func:`_conv3x3`, op ``conv3x3_same``; gradients
     flow to ``x`` only.
 
-    The conv's output is tested first, as a node with no operand: tanh
-    maps an infinity to +-1, so testing the tanh alone would hide an
-    overflowing conv. Tanh then runs in place, so one map stays on the
-    tape where a conv node and a tanh node kept two. The input gradient
-    of a same-padding conv is the same conv of the output gradient with
-    the kernel's channels swapped and its taps flipped, so the VJP
-    writes the tanh VJP straight into the interior of the zero-bordered
-    buffer that conv reads.
+    The input gradient of a same-padding conv is the same conv of the
+    output gradient with the kernel's channels swapped and its taps
+    flipped, so the VJP reads the kernel only, and the conv's output
+    leaves the tape once the tanh after it has read it. Like every
+    primitive's, the node's output is tested before tanh can map an
+    infinity to +-1.
     """
-    c = _conv3x3(num.value_of(x), w)
-    num.custom_node("conv3x3_same", c, ())
-    y = np.tanh(c, out=c)
 
     def vjp(g):
-        d, h, wd, bsz = y.shape
-        pad = np.zeros((d, h + 2, wd + 2, bsz))
-        num.tanh_grad(g, y, pad[:, 1:-1, 1:-1])
-        return _conv3x3_padded(pad, w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))
+        return _conv3x3(g, w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))
 
-    return num.custom_node("conv3x3_same", y, ((x, vjp),))
+    return num.custom_node("conv3x3_same", _conv3x3(num.value_of(x), w), ((x, vjp),))
 
 
 # ---------------------------------------------------------------------------
@@ -364,9 +344,8 @@ class ToyViTEncoder(_FrozenEncoder):
 class ToyConvEncoder(_FrozenEncoder):
     """Small conv encoder: a first 3x3 conv (the frozen prefix) produces
     the hidden map the adapter is tiled onto, then tanh, two more 3x3
-    convs each fused with the tanh after it into one node that tests the
-    conv's output and its own, and a global average pool: 9 tape nodes
-    with the token leaf. Each adapter token covers a ``patch_side`` x
+    conv + tanh layers, and a global average pool: 11 tape nodes with the
+    token leaf. Each adapter token covers a ``patch_side`` x
     ``patch_side`` patch of that map."""
 
     family = "conv"
@@ -384,14 +363,14 @@ class ToyConvEncoder(_FrozenEncoder):
 
     def prefix(self, images) -> np.ndarray:
         """The first conv's batch-last (D, H, W, B) map."""
-        conv = _conv3x3(self._check_images(images).transpose(1, 2, 3, 0), self.w1)
-        return num.custom_node("conv3x3_same", conv, ())
+        return _conv3x3_same(self._check_images(images).transpose(1, 2, 3, 0), self.w1)
 
     def suffix(self, prefix, adapter):
         """Tile the adapter onto the prefix map, run the other two convs
         and pool to (B, D) features."""
         h = num.tanh(apply_adapter_conv(prefix, adapter))
-        h = _conv3x3_tanh(_conv3x3_tanh(h, self.w2), self.w3)
+        h = num.tanh(_conv3x3_same(h, self.w2))
+        h = num.tanh(_conv3x3_same(h, self.w3))
         return num.transpose(num.mean_axis(num.mean_axis(h, axis=2), axis=1))
 
     encode_batch = _FrozenEncoder.encode_batch

@@ -26,6 +26,12 @@ made it. Checking only the objective's output would not do: ``tanh``,
 ``xlogx``, ``row_softmax``, ``div`` and ``diag_part`` can each turn a
 non-finite operand into a finite result.
 
+The tape keeps only what the VJPs read: an edge holds its parent's
+node, not the parent ``Var``, and a VJP closure holds only the arrays
+its rule reads, and just their shapes where it needs no more. So a
+value that no VJP reads, such as a conv output that only a tanh reads,
+is freed once the forward pass has moved past it.
+
 A finite-difference forward runs on plain arrays only, so what a call
 costs beyond its arithmetic and this test sets its speed. ``value_of``
 tests for a float64 ``ndarray`` first, ``custom_node`` tests ``Var`` by
@@ -53,19 +59,23 @@ _F64 = np.dtype(np.float64)  # one object: an identity test is a dtype test
 
 
 class Var:
-    """A node in the reverse-mode graph: a float64 value plus backward edges.
+    """A float64 value on the tape, and the tape node that made it.
 
     Leaves are created with :func:`leaf`; interior nodes are created by the
     operations in this module (or by :func:`custom_node` for operations
     defined elsewhere), which pass a float64 ndarray; it is stored as
     given. Values are never mutated after construction.
+
+    The node is ``_edges``, a new list for every ``Var``, a leaf's too:
+    one ``(parent node, vjp)`` pair per differentiable operand. So a
+    value lives only while a caller holds its ``Var`` or a VJP reads it.
     """
 
     __slots__ = ("value", "_edges")
 
-    def __init__(self, value: np.ndarray, edges: tuple = ()) -> None:
+    def __init__(self, value: np.ndarray, edges=()) -> None:
         self.value = value
-        self._edges = edges
+        self._edges = list(edges)
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -105,7 +115,8 @@ def custom_node(op: str, out: np.ndarray, edges: Sequence[tuple]):
 
     ``edges`` pairs each operand with a vjp callable mapping the output
     gradient to that operand's gradient (exact operand shape). Operands
-    that are not ``Var`` are dropped. Returns a plain array when no
+    that are not ``Var`` are dropped, and the node keeps each ``Var``
+    operand's node, not the ``Var``. Returns a plain array when no
     operand is differentiable. Raises ``NumericError`` (naming ``op``) on
     a non-finite result.
     """
@@ -124,14 +135,14 @@ def custom_node(op: str, out: np.ndarray, edges: Sequence[tuple]):
         raise NumericError(f"{op} produced a non-finite value")
     for p, _ in edges:
         if type(p) is Var:
-            return Var(out, tuple((p, vjp) for p, vjp in edges if type(p) is Var))
+            return Var(out, ((p._edges, vjp) for p, vjp in edges if type(p) is Var))
     return out
 
 
-def _toposort(root: Var) -> list[Var]:
-    order: list[Var] = []
+def _toposort(root: list) -> list[list]:
+    order: list[list] = []
     seen: set[int] = set()
-    stack: list[tuple[Var, bool]] = [(root, False)]
+    stack: list[tuple[list, bool]] = [(root, False)]
     while stack:
         node, expanded = stack.pop()
         if expanded:
@@ -141,7 +152,7 @@ def _toposort(root: Var) -> list[Var]:
             continue
         seen.add(id(node))
         stack.append((node, True))
-        for parent, _ in node._edges:
+        for parent, _ in node:
             if id(parent) not in seen:
                 stack.append((parent, False))
     return order  # every node appears after all of its parents
@@ -149,18 +160,19 @@ def _toposort(root: Var) -> list[Var]:
 
 def gradient(out: Var, wrt: Var) -> np.ndarray:
     """Reverse-accumulate d(out)/d(wrt); ``out`` is typically scalar."""
-    order = _toposort(out)
-    grads: dict[int, np.ndarray] = {id(out): np.ones_like(out.value)}
+    root, target = out._edges, wrt._edges
+    order = _toposort(root)
+    grads: dict[int, np.ndarray] = {id(root): np.ones_like(out.value)}
     for node in reversed(order):
-        # every node comes before its parents, and each node but ``out`` is
+        # every node comes before its parents, and each node but the root is
         # a parent of one before it, so its gradient is complete here; it is
         # dropped once its vjps have run, except wrt's, which is the result
-        g = grads[id(node)] if node is wrt else grads.pop(id(node))
-        for parent, vjp in node._edges:
+        g = grads[id(node)] if node is target else grads.pop(id(node))
+        for parent, vjp in node:
             pg = vjp(g)
             acc = grads.get(id(parent))
             grads[id(parent)] = pg if acc is None else acc + pg
-    result = grads.get(id(wrt))
+    result = grads.get(id(target))
     if result is None:
         return np.zeros_like(wrt.value)
     if not np.all(np.isfinite(result)):
@@ -245,9 +257,10 @@ def matmul(a, b):
         raise DimensionError(f"matmul: inner dimensions differ, {av.shape} x {bv.shape}")
     edges = ()
     if type(a) is Var or type(b) is Var:
+        sa, sb = av.shape, bv.shape
         edges = (
-            (a, lambda g: _unbroadcast(g @ bv.swapaxes(-1, -2), av.shape)),
-            (b, lambda g: _unbroadcast(av.swapaxes(-1, -2) @ g, bv.shape)),
+            (a, lambda g: _unbroadcast(g @ bv.swapaxes(-1, -2), sa)),
+            (b, lambda g: _unbroadcast(av.swapaxes(-1, -2) @ g, sb)),
         )
     return custom_node("matmul", av @ bv, edges)
 
@@ -321,22 +334,23 @@ def add(a, b):
     av, bv = value_of(a), value_of(b)
     edges = ()
     if type(a) is Var or type(b) is Var:
+        sa, sb = av.shape, bv.shape
         edges = (
-            (a, lambda g: _unbroadcast(g, av.shape)),
-            (b, lambda g: _unbroadcast(g, bv.shape)),
+            (a, lambda g: _unbroadcast(g, sa)),
+            (b, lambda g: _unbroadcast(g, sb)),
         )
     return custom_node("add", av + bv, edges)
 
 
 def sub(a, b):
     av, bv = value_of(a), value_of(b)
-    out = av - bv
+    out, sa, sb = av - bv, av.shape, bv.shape
     return custom_node(
         "sub",
         out,
         (
-            (a, lambda g: _unbroadcast(g, av.shape)),
-            (b, lambda g: _unbroadcast(-g, bv.shape)),
+            (a, lambda g: _unbroadcast(g, sa)),
+            (b, lambda g: _unbroadcast(-g, sb)),
         ),
     )
 
@@ -345,22 +359,23 @@ def mul(a, b):
     av, bv = value_of(a), value_of(b)
     edges = ()
     if type(a) is Var or type(b) is Var:
+        sa, sb = av.shape, bv.shape
         edges = (
-            (a, lambda g: _unbroadcast(g * bv, av.shape)),
-            (b, lambda g: _unbroadcast(g * av, bv.shape)),
+            (a, lambda g: _unbroadcast(g * bv, sa)),
+            (b, lambda g: _unbroadcast(g * av, sb)),
         )
     return custom_node("mul", av * bv, edges)
 
 
 def div(a, b):
     av, bv = value_of(a), value_of(b)
-    out = av / bv
+    out, sa, sb = av / bv, av.shape, bv.shape
     return custom_node(
         "div",
         out,
         (
-            (a, lambda g: _unbroadcast(g / bv, av.shape)),
-            (b, lambda g: _unbroadcast(-g * out / bv, bv.shape)),
+            (a, lambda g: _unbroadcast(g / bv, sa)),
+            (b, lambda g: _unbroadcast(-g * out / bv, sb)),
         ),
     )
 
@@ -370,12 +385,11 @@ def log(a):
     return custom_node("log", np.log(av), ((a, lambda g: g / av),))
 
 
-def tanh_grad(g: np.ndarray, out: np.ndarray, buf=None) -> np.ndarray:
+def tanh_grad(g: np.ndarray, out: np.ndarray) -> np.ndarray:
     """The tanh VJP, ``g * (1 - out * out)`` for the output ``out``, in one
-    buffer: ``buf`` (any writable view of ``out``'s shape) or a new array.
-    Each entry takes the three roundings of the plain expression, in its
-    order."""
-    buf = np.multiply(out, out, out=buf)
+    new buffer. Each entry takes the three roundings of the plain
+    expression, in its order."""
+    buf = np.multiply(out, out)
     np.subtract(1.0, buf, out=buf)
     return np.multiply(g, buf, out=buf)
 
@@ -402,10 +416,11 @@ def xlogx(a):
 def total_sum(a):
     """Sum of all entries, as a scalar."""
     av = value_of(a)
+    sa = av.shape
     return custom_node(
         "total_sum",
         np.add.reduce(av, axis=None),
-        ((a, lambda g: np.broadcast_to(g, av.shape).copy()),),
+        ((a, lambda g: np.broadcast_to(g, sa).copy()),),
     )
 
 
@@ -420,9 +435,10 @@ def squared_norm(a):
 def sum_axis(a, axis: int):
     """Sum along one axis, which is dropped."""
     av = value_of(a)
+    sa = av.shape
 
     def vjp(g):
-        return np.broadcast_to(np.expand_dims(g, axis), av.shape).copy()
+        return np.broadcast_to(np.expand_dims(g, axis), sa).copy()
 
     return custom_node("sum_axis", np.add.reduce(av, axis=axis), ((a, vjp),))
 
@@ -430,10 +446,11 @@ def sum_axis(a, axis: int):
 def mean_axis(a, axis: int):
     """Mean along one axis, which is dropped."""
     av = value_of(a)
+    sa = av.shape
     n = av.shape[axis]
 
     def vjp(g):
-        return np.broadcast_to(np.expand_dims(g / n, axis), av.shape).copy()
+        return np.broadcast_to(np.expand_dims(g / n, axis), sa).copy()
 
     # ndarray.mean's own sum-then-divide, without its wrapper
     return custom_node("mean_axis", np.add.reduce(av, axis=axis) / n, ((a, vjp),))
@@ -450,7 +467,8 @@ def transpose(a):
 
 def reshape(a, shape):
     av = value_of(a)
-    return custom_node("reshape", av.reshape(shape), ((a, lambda g: g.reshape(av.shape)),))
+    sa = av.shape
+    return custom_node("reshape", av.reshape(shape), ((a, lambda g: g.reshape(sa)),))
 
 
 def diag_part(a):
@@ -461,7 +479,7 @@ def diag_part(a):
         raise DimensionError(f"diag_part: matrix must be square, got {av.shape}")
 
     def vjp(g):
-        out = np.zeros_like(av)
+        out = np.zeros_like(av)  # av's layout: a reduction over the gradient may round by it
         np.fill_diagonal(out, g)
         return out
 

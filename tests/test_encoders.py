@@ -6,6 +6,8 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+import weakref
+from gc import collect as collect_garbage
 
 import numpy as np
 import pytest
@@ -310,35 +312,31 @@ def test_conv3x3_same_matches_naive_loops(shape, dout):
     # cin != dout and H != W, so a swapped channel axis or a transposed
     # spatial grid cannot pass; B = 1 catches a batch axis folded wrongly.
     # The conv runs batch-last, (C, H, W, B); the oracle takes (B, C, H, W).
-    # The node is tanh(conv(x, w)); weights at the encoders' scale keep
-    # most of the tanh off its flat tails, so its derivative weighs every
-    # entry of the input gradient
     rng = np.random.default_rng(17)
     x = rng.normal(size=shape)
-    w = rng.normal(size=(dout, shape[1], 3, 3)) * (shape[1] * 9) ** -0.5
+    w = rng.normal(size=(dout, shape[1], 3, 3))
     x_bl = x.transpose(1, 2, 3, 0)
-    out = encoders._conv3x3_tanh(num.leaf(x_bl), w)
+    out = encoders._conv3x3_same(num.leaf(x_bl), w)
     y_bl = num.value_of(out)
     assert y_bl.shape == (dout, shape[2], shape[3], shape[0])
-    y = y_bl.transpose(3, 0, 1, 2)
-    assert rel_err(y, np.tanh(naive_conv3x3_same(x, w))) <= 1e-12
+    assert rel_err(y_bl.transpose(3, 0, 1, 2), naive_conv3x3_same(x, w)) <= 1e-12
     g = rng.normal(size=(shape[0], dout, shape[2], shape[3]))
     g_bl = g.transpose(1, 2, 3, 0)
     ((_, vjp),) = out._edges
     gx = vjp(g_bl)
     assert gx.shape == x_bl.shape
-    dz = g * (1 - y**2)  # the output gradient taken back through the tanh
-    assert rel_err(gx.transpose(3, 0, 1, 2), naive_conv3x3_same_vjp(dz, w, x.shape)) <= 1e-12
-    # the backward is the adjoint of the conv: <conv(x), dz> == <x, vjp(g)>
-    lhs, rhs = float((naive_conv3x3_same(x, w) * dz).sum()), float((x_bl * gx).sum())
+    assert rel_err(gx.transpose(3, 0, 1, 2), naive_conv3x3_same_vjp(g, w, x.shape)) <= 1e-12
+    # the backward is the adjoint of the forward: <conv(x), g> == <x, vjp(g)>
+    lhs, rhs = float((y_bl * g_bl).sum()), float((x_bl * gx).sum())
     assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), 1.0)
 
 
 @pytest.mark.parametrize("case", ["overflow", "nan"])
 def test_conv3x3_same_raises_on_a_non_finite_conv(case):
-    # tanh maps an infinity to +-1, so a node that tested only its tanh
-    # output would pass a finite input whose conv overflows; a NaN input
-    # makes NaN conv entries. Both must raise, off and on the tape.
+    # tanh maps an infinity to +-1, so a test of the tanh after the conv
+    # would pass a finite input whose conv overflows; a NaN input makes
+    # NaN conv entries. The conv node must raise on both, off and on the
+    # tape.
     x, w = np.ones((2, 4, 4, 3)), np.ones((3, 2, 3, 3))
     if case == "overflow":
         x *= 1e300
@@ -348,7 +346,7 @@ def test_conv3x3_same_raises_on_a_non_finite_conv(case):
     for operand in (x, num.leaf(x)):
         with np.errstate(over="ignore"):
             with pytest.raises(NumericError, match="^conv3x3_same produced a non-finite value$"):
-                encoders._conv3x3_tanh(operand, w)
+                encoders._conv3x3_same(operand, w)
 
 
 def test_conv_encode_batch_matches_naive_loops():
@@ -395,8 +393,7 @@ def test_conv3x3_row_blocks_match_one_block(monkeypatch, shape, dout, budget, fw
     # so the blocked run must match a one-block run bit for bit
     rng = np.random.default_rng(21)
     x = rng.normal(size=shape)  # (B, C, H, W)
-    # at the encoders' scale, as in test_conv3x3_same_matches_naive_loops
-    w = rng.normal(size=(dout,) + shape[1:2] + (3, 3)) * (shape[1] * 9) ** -0.5
+    w = rng.normal(size=(dout,) + shape[1:2] + (3, 3))
     x_bl = x.transpose(1, 2, 3, 0)
     g_bl = rng.normal(size=(dout,) + x_bl.shape[1:])
     gemm_cols = []
@@ -404,7 +401,7 @@ def test_conv3x3_row_blocks_match_one_block(monkeypatch, shape, dout, budget, fw
     monkeypatch.setattr(np, "matmul", lambda a, b, out: gemm_cols.append(b.shape[1]) or matmul(a, b, out=out))
 
     def forward_and_vjp():
-        out = encoders._conv3x3_tanh(num.leaf(x_bl), w)
+        out = encoders._conv3x3_same(num.leaf(x_bl), w)
         ((_, vjp),) = out._edges
         return num.value_of(out), vjp(g_bl)
 
@@ -422,9 +419,8 @@ def test_conv3x3_row_blocks_match_one_block(monkeypatch, shape, dout, budget, fw
     # the small cases and, to keep them under a second, the first 2 of the
     # report shapes
     n = 2 if budget is None else len(x)
-    yn, gn = y[..., :n].transpose(3, 0, 1, 2), g_bl[..., :n].transpose(3, 0, 1, 2)
-    assert rel_err(yn, np.tanh(naive_conv3x3_same(x[:n], w))) <= 1e-12
-    want = naive_conv3x3_same_vjp(gn * (1 - yn**2), w, x[:n].shape)
+    assert rel_err(y[..., :n].transpose(3, 0, 1, 2), naive_conv3x3_same(x[:n], w)) <= 1e-12
+    want = naive_conv3x3_same_vjp(g_bl[..., :n].transpose(3, 0, 1, 2), w, x[:n].shape)
     assert rel_err(gx[..., :n].transpose(3, 0, 1, 2), want) <= 1e-12
 
 
@@ -599,34 +595,95 @@ def test_vit_suffix_has_eleven_tape_nodes_per_block(insertion):
     rng = np.random.default_rng(6)
     prefix = enc.prefix(rng.normal(size=(2,) + enc.image_shape))
     tokens = rng.normal(0.0, 0.2, enc.adapter_shape)
-    nodes = num._toposort(enc.suffix(prefix, num.leaf(tokens)))
+    nodes = num._toposort(enc.suffix(prefix, num.leaf(tokens))._edges)
     # the token leaf, the adapter add and the mean pool, then 11 per block
     assert len(nodes) == 3 + 11 * (enc.num_blocks - insertion)
 
 
-def test_conv_suffix_has_nine_tape_nodes():
+def test_conv_suffix_has_eleven_tape_nodes():
     enc = ToyConvEncoder()
     rng = np.random.default_rng(6)
     prefix = enc.prefix(rng.normal(size=(2,) + enc.image_shape))
     tokens = rng.normal(0.0, 0.2, enc.adapter_shape)
-    nodes = num._toposort(enc.suffix(prefix, num.leaf(tokens)))
-    # the token leaf, the tile, the adapter add and its tanh, two fused
-    # conv-tanh nodes, two mean pools and the transpose
-    assert len(nodes) == 9
+    nodes = num._toposort(enc.suffix(prefix, num.leaf(tokens))._edges)
+    # the token leaf, the tile and the adapter add, two convs, three tanh,
+    # two mean pools and the transpose
+    assert len(nodes) == 11
 
 
-def test_conv_suffix_node_values_at_batch_64():
-    # what one B=64 step holds on the tape: the token leaf (2 KiB), the
-    # tile (8 KiB), four (16, 8, 8, 64) maps of 512 KiB (the adapter add,
-    # its tanh and the two conv-tanh nodes), the W-mean (64 KiB), the
-    # H-mean and its transposed view (8 KiB each). A conv node and a tanh
-    # node apiece for the two later convs would add two maps more.
-    enc = ToyConvEncoder()
+def _suffix_at_batch_64(family):
+    enc = ToyConvEncoder() if family == "conv" else ToyViTEncoder()
     rng = np.random.default_rng(6)
     prefix = enc.prefix(rng.normal(size=(64,) + enc.image_shape))
-    tokens = rng.normal(0.0, 0.2, enc.adapter_shape)
-    nodes = num._toposort(enc.suffix(prefix, num.leaf(tokens)))
-    assert sum(node.value.nbytes for node in nodes) == 2_189_312
+    return enc, prefix, rng.normal(0.0, 0.2, enc.adapter_shape)
+
+
+# what the VJPs of one B=64 suffix read. conv: the three (16, 8, 8, 64)
+# tanh outputs, 512 KiB each. vit, per block: four (64, 16, 16) values of
+# 128 KiB (the block's input, its product with qk, the softmax and the
+# product with vo) and the (64, 16, 32) tanh output of 256 KiB.
+@pytest.mark.parametrize(
+    "family,read",
+    [pytest.param("conv", 3 * 524_288, id="conv"), pytest.param("vit", 3 * 786_432, id="vit")],
+)
+def test_suffix_tape_holds_only_what_vjps_read_at_batch_64(family, read):
+    # with the root held after the forward pass, the tape may hold the
+    # values above plus 64 KiB: the root's 8 KiB and the tape's own
+    # objects fit, but no other (B, ...) value of the suffix does, such as
+    # the conv adapter add, a conv output, the conv W-mean (64 KiB) or a
+    # vit MLP matmul output
+    enc, prefix, tokens = _suffix_at_batch_64(family)
+    leaf = num.leaf(tokens)
+    collect_garbage()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        root = enc.suffix(prefix, leaf)
+        collect_garbage()
+        held = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert num.value_of(root).shape == (64, enc.dim)
+    assert read <= held <= read + 65_536
+
+
+@pytest.mark.parametrize("family", ["conv", "vit"])
+def test_suffix_frees_values_no_vjp_reads(monkeypatch, family):
+    # conv: the adapter add and the two convs each feed only a tanh, whose
+    # VJP reads its own output. vit: each MLP matmul feeds only a tanh or
+    # the residual add, whose VJP reads a shape. With the root held, none
+    # of these values may outlive the forward pass, and freeing them must
+    # leave every bit of the gradient as it is when they are kept.
+    enc, prefix, tokens = _suffix_at_batch_64(family)
+    made = []
+
+    def watch(module, name, pick=lambda *args: True):
+        fn = getattr(module, name)
+
+        def watched(*args):
+            out = fn(*args)
+            if pick(*args):
+                made.append(out)
+            return out
+
+        monkeypatch.setattr(module, name, watched)
+
+    if family == "conv":
+        watch(num, "add")
+        watch(encoders, "_conv3x3_same")
+    else:
+        mlp = [blk[k] for blk in enc.folded_blocks for k in ("w1c", "w2")]
+        watch(num, "matmul", lambda a, b: any(b is w for w in mlp))
+    leaf = num.leaf(tokens)
+    kept = num.gradient(enc.suffix(prefix, leaf), leaf)  # `made` holds them
+    made.clear()
+    root = enc.suffix(prefix, leaf)
+    refs = [weakref.ref(var.value) for var in made]
+    made.clear()
+    collect_garbage()
+    assert len(refs) == (3 if family == "conv" else 6)
+    assert all(ref() is None for ref in refs)
+    assert np.array_equal(num.gradient(root, leaf), kept)
 
 
 def test_prefix_rejects_nonfinite_images():

@@ -408,8 +408,8 @@ def test_custom_node_mixed_operands_keep_only_var_edges():
     node = num.custom_node("probe_op", np.ones(2), ((a, va), (np.ones(2), vb), (c, vc)))
     assert isinstance(node, num.Var)
     assert len(node._edges) == 2
-    assert node._edges[0][0] is a and node._edges[0][1] is va
-    assert node._edges[1][0] is c and node._edges[1][1] is vc
+    assert node._edges[0][0] is a._edges and node._edges[0][1] is va
+    assert node._edges[1][0] is c._edges and node._edges[1][1] is vc
 
 
 @pytest.mark.parametrize("operand", ("plain", "var"))
