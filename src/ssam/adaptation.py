@@ -90,15 +90,19 @@ class AdamOptimizer:
         self.t += 1
         # a finite gradient above ~1.3e154 squares to inf, and an infinite
         # second moment would silently zero those tokens' updates for good;
-        # the check below names that fault, so numpy's warning is not needed
+        # a huge rate can push the new tokens past the float range. The
+        # checks below name both faults, so numpy's warnings are not needed
         with np.errstate(over="ignore"):
             self.m = self.BETA1 * self.m + (1.0 - self.BETA1) * grad
             self.v = self.BETA2 * self.v + (1.0 - self.BETA2) * grad * grad
-        if not np.all(np.isfinite(self.v)):
-            raise NumericError("optimizer produced a non-finite second moment")
-        m_hat = self.m / (1.0 - self.BETA1**self.t)
-        v_hat = self.v / (1.0 - self.BETA2**self.t)
-        return params - self.learning_rate * m_hat / (np.sqrt(v_hat) + self.EPS)
+            if not np.all(np.isfinite(self.v)):
+                raise NumericError("optimizer produced a non-finite second moment")
+            m_hat = self.m / (1.0 - self.BETA1**self.t)
+            v_hat = self.v / (1.0 - self.BETA2**self.t)
+            out = params - self.learning_rate * m_hat / (np.sqrt(v_hat) + self.EPS)
+        if not np.all(np.isfinite(out)):
+            raise NumericError("optimizer produced non-finite adapter tokens")
+        return out
 
     def snapshot(self):
         # step binds new moment arrays and never writes into the old ones,
@@ -157,10 +161,8 @@ def adapt_batch(encoder, images, adapter, t, cfg: AdaptConfig, optimizer=None):
 
     try:
         for _ in range(cfg.steps_per_batch):
-            res = num.value_and_gradient(objective, adapter)
-            adapter = optimizer.step(adapter, res.gradient)
-            if not np.all(np.isfinite(adapter)):
-                raise NumericError("optimizer produced non-finite adapter tokens")
+            _, grad = num.value_and_gradient(objective, adapter)
+            adapter = optimizer.step(adapter, grad)
     except NumericError:
         optimizer.restore(snap)
         raise

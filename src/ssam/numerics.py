@@ -4,7 +4,8 @@ Plain numpy arrays are the matrix representation (row-major float64).
 Every operation here also accepts :class:`Var` nodes; when any operand is
 a ``Var`` the result is a ``Var`` carrying the backward rule, so a scalar
 objective composed from these primitives can be differentiated exactly
-with :func:`value_and_gradient`. :func:`finite_difference_gradient` is the
+with :func:`value_and_gradient`, which returns the pair ``(value,
+gradient)``. :func:`finite_difference_gradient` is the
 independent central-difference oracle used to cross-check the analytic
 path; the two never share derivative code.
 
@@ -45,7 +46,6 @@ per primitive" gives the per-call timings.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -83,15 +83,6 @@ class Var:
 
     def __repr__(self) -> str:
         return f"Var(shape={self.value.shape})"
-
-
-@dataclass
-class GradientResult:
-    """Value of a scalar objective together with its gradient, shaped like
-    the differentiated parameter."""
-
-    value: float
-    gradient: np.ndarray
 
 
 def leaf(value) -> Var:
@@ -180,18 +171,19 @@ def gradient(out: Var, wrt: Var) -> np.ndarray:
     return result
 
 
-def value_and_gradient(objective: Callable, params) -> GradientResult:
+def value_and_gradient(objective: Callable, params) -> tuple[float, np.ndarray]:
     """Evaluate a scalar objective and its exact reverse-mode gradient.
 
     ``objective`` receives a ``Var`` shaped like ``params`` and must
-    return a scalar built from the primitives in this package. An
-    objective that ignores its argument yields an all-zero gradient.
+    return a scalar built from the primitives in this package. Returns
+    ``(value, gradient)``: the objective as a finite float, and the
+    gradient shaped like ``params``. An objective that ignores its
+    argument yields an all-zero gradient.
     """
     p = leaf(params)
     out = objective(p)
     value = _objective_value(out)
-    grad = gradient(out, p) if isinstance(out, Var) else np.zeros_like(p.value)
-    return GradientResult(value, grad)
+    return value, gradient(out, p) if isinstance(out, Var) else np.zeros_like(p.value)
 
 
 def finite_difference_gradient(objective: Callable, params) -> np.ndarray:
@@ -385,19 +377,20 @@ def log(a):
     return custom_node("log", np.log(av), ((a, lambda g: g / av),))
 
 
-def tanh_grad(g: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """The tanh VJP, ``g * (1 - out * out)`` for the output ``out``, in one
-    new buffer. Each entry takes the three roundings of the plain
-    expression, in its order."""
-    buf = np.multiply(out, out)
-    np.subtract(1.0, buf, out=buf)
-    return np.multiply(g, buf, out=buf)
-
-
 def tanh(a):
     av = value_of(a)
     out = np.tanh(av)
-    edges = ((a, lambda g: tanh_grad(g, out)),) if type(a) is Var else ()
+    edges = ()
+    if type(a) is Var:
+
+        def vjp(g):
+            # g * (1 - out * out) in one new buffer: each entry takes the
+            # three roundings of the plain expression, in its order
+            buf = np.multiply(out, out)
+            np.subtract(1.0, buf, out=buf)
+            return np.multiply(g, buf, out=buf)
+
+        edges = ((a, vjp),)
     return custom_node("tanh", out, edges)
 
 

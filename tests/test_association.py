@@ -168,7 +168,7 @@ def test_gradient_flows_through_prototypes():
         return num.squared_norm(estimate_prototypes(association_map(v, t), v))
 
     v0 = rng.normal(size=(5, 4))
-    res = num.value_and_gradient(objective, v0)
+    _, grad = num.value_and_gradient(objective, v0)
     fd = num.finite_difference_gradient(objective, v0)
-    assert np.abs(res.gradient - fd).max() <= 1e-6 * max(1.0, np.abs(fd).max())
-    assert np.abs(res.gradient).max() > 1e-8
+    assert np.abs(grad - fd).max() <= 1e-6 * max(1.0, np.abs(fd).max())
+    assert np.abs(grad).max() > 1e-8

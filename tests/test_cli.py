@@ -262,6 +262,16 @@ def test_adapt_second_moment_overflow_is_exit_2(tiny_data, encoder, capsys):
     assert "numeric failure: optimizer produced a non-finite second moment" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_adapt_update_overflow_is_exit_2(tiny_data, capsys):
+    # the first step moves every conv token to ~1.7e308, the tanh after the
+    # adapter saturates, and the second Adam update overflows the float range
+    capsys.readouterr()
+    rc = main(_adapt_args(tiny_data, lr="1.7e308", encoder="conv"))
+    assert rc == 2
+    assert capsys.readouterr().err == "numeric failure: optimizer produced non-finite adapter tokens\n"
+
+
 @pytest.mark.parametrize(
     "argv",
     [["adapt", "--encoder", "conv"], ["adapt", "--encoder", "vit"], ["ablate", "--seeds", "1"]],

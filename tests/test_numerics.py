@@ -141,19 +141,19 @@ class TestCosineSimilarity:
 
 class TestValueAndGradient:
     def test_quadratic(self):
-        res = num.value_and_gradient(num.squared_norm, np.array([1.0, 2.0]))
-        assert res.value == pytest.approx(5.0)
-        assert np.allclose(res.gradient, [2.0, 4.0])
+        value, grad = num.value_and_gradient(num.squared_norm, np.array([1.0, 2.0]))
+        assert value == pytest.approx(5.0)
+        assert np.allclose(grad, [2.0, 4.0])
 
     def test_constant_objective(self):
-        res = num.value_and_gradient(lambda x: 7.5, np.array([[1.0, 2.0]]))
-        assert res.value == 7.5
-        assert np.array_equal(res.gradient, np.zeros((1, 2)))
+        value, grad = num.value_and_gradient(lambda x: 7.5, np.array([[1.0, 2.0]]))
+        assert value == 7.5
+        assert np.array_equal(grad, np.zeros((1, 2)))
 
     def test_gradient_shape_matches_params(self):
         params = np.arange(6.0).reshape(2, 3) + 1.0
-        res = num.value_and_gradient(lambda x: num.total_sum(num.log(x)), params)
-        assert res.gradient.shape == params.shape
+        _, grad = num.value_and_gradient(lambda x: num.total_sum(num.log(x)), params)
+        assert grad.shape == params.shape
 
     def test_non_scalar_objective_rejected(self):
         with pytest.raises(DimensionError):
@@ -161,12 +161,12 @@ class TestValueAndGradient:
 
     @pytest.mark.parametrize("shape", [(), (1,), (1, 1)], ids=str)
     def test_size_one_output_is_scalar(self, shape):
-        res = num.value_and_gradient(_sum_of_squares_shaped(shape), np.array([1.0, 2.0]))
-        assert type(res.value) is float and res.value == 5.0
-        assert np.array_equal(res.gradient, [2.0, 4.0])
-        res = num.value_and_gradient(lambda x: np.full(shape, 3.0), np.array([1.0, 2.0]))
-        assert type(res.value) is float and res.value == 3.0
-        assert np.array_equal(res.gradient, np.zeros(2))
+        value, grad = num.value_and_gradient(_sum_of_squares_shaped(shape), np.array([1.0, 2.0]))
+        assert type(value) is float and value == 5.0
+        assert np.array_equal(grad, [2.0, 4.0])
+        value, grad = num.value_and_gradient(lambda x: np.full(shape, 3.0), np.array([1.0, 2.0]))
+        assert type(value) is float and value == 3.0
+        assert np.array_equal(grad, np.zeros(2))
 
     @pytest.mark.parametrize("shape", [(2,), (1, 2), (0,)], ids=str)
     def test_non_scalar_output_names_shape(self, shape):
@@ -181,7 +181,8 @@ class TestValueAndGradient:
             num.value_and_gradient(lambda x: num.total_sum(num.log(x)), np.array([1e-320]))
 
     def test_non_finite_intermediate_names_primitive(self):
-        with pytest.raises(NumericError, match="log"):
+        # numpy warns on the log of a negative entry before the node raises
+        with pytest.raises(NumericError, match="log"), pytest.warns(RuntimeWarning):
             num.value_and_gradient(
                 lambda x: num.total_sum(num.log(num.sub(x, 5.0))), np.ones((2, 2))
             )
@@ -262,9 +263,9 @@ def test_primitive_gradients_match_finite_differences(name):
     f = PRIMITIVE_OBJECTIVES[name]
     for _ in range(5):
         x = rng.normal(0.0, 1.0, (4, 4))
-        res = num.value_and_gradient(f, x)
+        _, grad = num.value_and_gradient(f, x)
         fd = num.finite_difference_gradient(f, x)
-        assert rel_err(res.gradient, fd) <= 1e-6, name
+        assert rel_err(grad, fd) <= 1e-6, name
         # plain operands build no VJP closures, on the same arithmetic
         plain, node = f(x), f(num.leaf(x))
         assert type(plain) is np.ndarray and type(node) is num.Var
@@ -306,8 +307,8 @@ def test_gradient_of_an_unreachable_wrt_is_zeros():
 def test_gradient_accumulates_over_reused_node():
     # x appears twice; adjoints must add
     f = lambda x: num.total_sum(num.mul(x, x))
-    res = num.value_and_gradient(f, np.array([[3.0]]))
-    assert res.gradient[0, 0] == pytest.approx(6.0)
+    _, grad = num.value_and_gradient(f, np.array([[3.0]]))
+    assert grad[0, 0] == pytest.approx(6.0)
 
 
 @pytest.mark.parametrize(
@@ -461,11 +462,11 @@ def test_cosine_norms_are_bit_identical_to_linalg_norm(m, n, d):
     want_u = (g @ vhat - (g * s).sum(axis=1, keepdims=True) * uhat) / un[:, None]
     want_v = (g.T @ uhat - (g * s).sum(axis=0)[:, None] * vhat) / vn[:, None]
     assert num.cosine_similarity_matrix(u, v).tobytes() == s.tobytes()
-    grad_u = num.value_and_gradient(
+    _, grad_u = num.value_and_gradient(
         lambda p: num.total_sum(num.mul(num.cosine_similarity_matrix(p, v), g)), u
-    ).gradient
-    grad_v = num.value_and_gradient(
+    )
+    _, grad_v = num.value_and_gradient(
         lambda p: num.total_sum(num.mul(num.cosine_similarity_matrix(u, p), g)), v
-    ).gradient
+    )
     assert grad_u.tobytes() == want_u.tobytes()
     assert grad_v.tobytes() == want_v.tobytes()
