@@ -136,36 +136,35 @@ def evaluate(encoder, images, labels, adapter, t):
     return feats, float((nearest_category(feats, t) == labels).mean())
 
 
-def adapt_batch(encoder, images, adapter, t, cfg: AdaptConfig, optimizer=None):
-    """Run cfg.steps_per_batch optimizer steps of the combined objective
-    on one batch. Returns (updated adapter tokens, per-step losses).
-    ``optimizer`` defaults to a fresh Adam at ``cfg.learning_rate``.
+def adapt_batch(encoder, images, adapter, t, cfg: AdaptConfig, optimizer):
+    """Run cfg.steps_per_batch steps of the caller's ``optimizer`` on the
+    combined objective of one batch; returns (new tokens, per-step losses).
 
-    On any non-finite value the optimizer state is restored and the error
-    re-raised; the returned tokens are never partially updated (the
-    caller's adapter array is untouched either way).
+    Numpy's floating-point warnings are off: a non-finite value is
+    reported once, by the check that names the primitive that made it,
+    and the optimizer state is restored before the error is re-raised.
+    The returned tokens are never partially updated (the caller's
+    adapter array is untouched either way).
     """
-    if optimizer is None:
-        optimizer = AdamOptimizer(cfg.learning_rate)
-
-    # the frozen layers before the adapter see the same images every step
-    prefix = encoder.prefix(images)
     history: list[LossBreakdown] = []
     snap = optimizer.snapshot()
+    with np.errstate(all="ignore"):
+        # the frozen layers before the adapter see the same images every step
+        prefix = encoder.prefix(images)
 
-    def objective(tok):
-        v = encoder.suffix(prefix, tok)
-        total, bd = total_objective(v, t, alpha=cfg.alpha, beta=cfg.beta)
-        history.append(bd)
-        return total
+        def objective(tok):
+            v = encoder.suffix(prefix, tok)
+            total, bd = total_objective(v, t, alpha=cfg.alpha, beta=cfg.beta)
+            history.append(bd)
+            return total
 
-    try:
-        for _ in range(cfg.steps_per_batch):
-            _, grad = num.value_and_gradient(objective, adapter)
-            adapter = optimizer.step(adapter, grad)
-    except NumericError:
-        optimizer.restore(snap)
-        raise
+        try:
+            for _ in range(cfg.steps_per_batch):
+                _, grad = num.value_and_gradient(objective, adapter)
+                adapter = optimizer.step(adapter, grad)
+        except NumericError:
+            optimizer.restore(snap)
+            raise
     return adapter, history
 
 
@@ -179,28 +178,29 @@ def run_stream(encoder, dataset, t, cfg: AdaptConfig) -> AdaptReport:
     """Adapt over the whole stream and report accuracies.
 
     ``dataset`` provides ``images`` (N, C, H, W) and ``labels`` (N,);
-    labels feed only the metrics. Online accuracy is predict-then-adapt
-    per batch; pre/post accuracies are full passes with the zero adapter
-    and the final adapter, and the report keeps the features of both.
+    labels feed only the metrics. The stream owns one adapter and one
+    Adam state. Online accuracy is predict-then-adapt per batch; pre/post
+    accuracies are full passes with the zero adapter and the final
+    adapter, and the report keeps the features of both.
     """
     images = np.asarray(dataset.images, dtype=np.float64)
     labels = np.asarray(dataset.labels)
     n = images.shape[0]
-
-    features_pre, pre_accuracy = evaluate(encoder, images, labels, encoder.new_adapter(), t)
-
+    # evaluate never writes to the adapter and adapt_batch rebinds it, so
+    # the zero adapter of the pre pass is also where adaptation starts
     adapter = encoder.new_adapter()
     optimizer = AdamOptimizer(cfg.learning_rate)
     history: list[LossBreakdown] = []
     online_hits = 0
     rng = np.random.default_rng(cfg.seed)
-    for idx in _batches(n, cfg.batch_size, rng):
-        preds = classify_batch(encoder, images[idx], adapter, t)
-        online_hits += int((preds == labels[idx]).sum())
-        adapter, bds = adapt_batch(encoder, images[idx], adapter, t, cfg, optimizer)
-        history.extend(bds)
-
-    features_post, post_accuracy = evaluate(encoder, images, labels, adapter, t)
+    with np.errstate(all="ignore"):  # as in adapt_batch, for the passes
+        features_pre, pre_accuracy = evaluate(encoder, images, labels, adapter, t)
+        for idx in _batches(n, cfg.batch_size, rng):
+            preds = classify_batch(encoder, images[idx], adapter, t)
+            online_hits += int((preds == labels[idx]).sum())
+            adapter, bds = adapt_batch(encoder, images[idx], adapter, t, cfg, optimizer)
+            history.extend(bds)
+        features_post, post_accuracy = evaluate(encoder, images, labels, adapter, t)
     return AdaptReport(
         history=history,
         pre_accuracy=pre_accuracy,

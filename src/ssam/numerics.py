@@ -22,10 +22,10 @@ not finite, which tells an overflow of finite entries from a NaN or
 infinity. Neither test raises a numpy floating-point warning (the sum
 runs in BLAS), so finite extremes pass silently. Any NaN or infinity
 raises :class:`~ssam.errors.NumericError` naming the offending
-primitive, after whatever warning numpy gives for the operation that
-made it. Checking only the objective's output would not do: ``tanh``,
-``xlogx``, ``row_softmax``, ``div`` and ``diag_part`` can each turn a
-non-finite operand into a finite result.
+primitive; ``adapt_batch`` and ``run_stream`` turn numpy's warnings off,
+so there it is a fault's one report. Checking only the objective's
+output would not do: ``tanh``, ``xlogx``, ``row_softmax``, ``div`` and
+``diag_part`` can each turn a non-finite operand into a finite result.
 
 The tape keeps only what the VJPs read: an edge holds its parent's
 node, not the parent ``Var``, and a VJP closure holds only the arrays

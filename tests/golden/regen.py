@@ -49,13 +49,13 @@ def regen_categories():
 
 
 def regen_adaptation():
-    from ssam.adaptation import AdaptConfig, adapt_batch
+    from ssam.adaptation import AdamOptimizer, AdaptConfig, adapt_batch
 
     enc = ToyViTEncoder(seed=0)
     emb = embed_categories(4, 16, seed=0)
     imgs = np.random.default_rng(123).normal(size=(16,) + enc.image_shape)
     cfg = AdaptConfig(learning_rate=1e-3, steps_per_batch=10)
-    _, history = adapt_batch(enc, imgs, enc.new_adapter(), emb, cfg)
+    _, history = adapt_batch(enc, imgs, enc.new_adapter(), emb, cfg, AdamOptimizer(cfg.learning_rate))
     _dump(
         "adaptation_golden.json",
         {

@@ -139,7 +139,7 @@ class TestAdaptBatch:
         enc, emb, imgs = _batch_setup()
         cfg = AdaptConfig(learning_rate=0.0, steps_per_batch=3)
         adapter = enc.new_adapter()
-        out, history = adapt_batch(enc, imgs, adapter, emb, cfg)
+        out, history = adapt_batch(enc, imgs, adapter, emb, cfg, AdamOptimizer(cfg.learning_rate))
         assert np.array_equal(out, adapter)
         assert len(history) == 3
         assert all(bd.total > 0 for bd in history)
@@ -147,7 +147,7 @@ class TestAdaptBatch:
     def test_zero_weights_match_entropy_only_loop(self):
         enc, emb, imgs = _batch_setup()
         cfg = AdaptConfig(alpha=0.0, beta=0.0, learning_rate=1e-2, steps_per_batch=4)
-        out, _ = adapt_batch(enc, imgs, enc.new_adapter(), emb, cfg)
+        out, _ = adapt_batch(enc, imgs, enc.new_adapter(), emb, cfg, AdamOptimizer(cfg.learning_rate))
 
         # hand-rolled loop on the entropy term alone, same optimizer
         def ent_objective(tokens):
@@ -167,15 +167,16 @@ class TestAdaptBatch:
         emb = embed_categories(4, 16, seed=0)
         imgs = np.random.default_rng(123).normal(size=(16,) + enc.image_shape)
         cfg = AdaptConfig(learning_rate=1e-3, steps_per_batch=10)
-        _, history = adapt_batch(enc, imgs, enc.new_adapter(), emb, cfg)
+        _, history = adapt_batch(enc, imgs, enc.new_adapter(), emb, cfg, AdamOptimizer(cfg.learning_rate))
         assert history[-1].total < history[0].total  # descent
         assert history[0].total == pytest.approx(g["descent_first_total"], abs=1e-9)
         assert history[-1].total == pytest.approx(g["descent_last_total"], abs=1e-9)
 
     def test_empty_batch_rejected(self):
         enc, emb, _ = _batch_setup()
+        empty, cfg = np.zeros((0,) + enc.image_shape), AdaptConfig()
         with pytest.raises(ConfigError):
-            adapt_batch(enc, np.zeros((0,) + enc.image_shape), enc.new_adapter(), emb, AdaptConfig())
+            adapt_batch(enc, empty, enc.new_adapter(), emb, cfg, AdamOptimizer(cfg.learning_rate))
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_adam_overflow_in_the_update_is_a_numeric_error(self):
@@ -213,7 +214,7 @@ class TestAdaptBatch:
         assert t == before[0] == 1
         assert np.array_equal(m, before[1]) and np.array_equal(v, before[2])
 
-    @pytest.mark.filterwarnings("ignore:overflow")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_adam_rollback_restores_moments(self):
         enc, emb, imgs = _batch_setup()
         cfg = AdaptConfig(learning_rate=1e-2, steps_per_batch=1)
@@ -242,7 +243,7 @@ class TestFrozenPrefix:
 
             monkeypatch.setattr(enc, name, counted)
         cfg = AdaptConfig(learning_rate=1e-2, steps_per_batch=5)
-        _, history = adapt_batch(enc, imgs, enc.new_adapter(), emb, cfg)
+        _, history = adapt_batch(enc, imgs, enc.new_adapter(), emb, cfg, AdamOptimizer(cfg.learning_rate))
         assert len(history) == 5
         assert calls == {"prefix": 1, "suffix": 5}
 

@@ -244,13 +244,31 @@ def test_adapt_zero_image_count_is_exit_1(tmp_path, tiny_data, capsys):
     assert "image count 0 at byte 12" in capsys.readouterr().err
 
 
-@pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_adapt_numeric_blowup_is_exit_2(tiny_data, capsys):
     # the attention family squares scores, so a huge first step overflows
-    # on the next forward pass; conv would only saturate its tanh
+    # on the next forward pass; conv would only saturate its tanh. The
+    # check that names matmul reports it, and numpy does not warn first
+    capsys.readouterr()
     rc = main(_adapt_args(tiny_data, lr="1e200", encoder="vit"))
     assert rc == 2
-    assert "numeric failure" in capsys.readouterr().err
+    assert capsys.readouterr().err == "numeric failure: matmul produced a non-finite value\n"
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_ablate_numeric_blowup_is_exit_2(tiny_data, capsys):
+    # the same overflow in every stream of the pool, whose threads start
+    # with numpy's default error state, not the caller's
+    grid = tiny_data.parent / "grid.json"
+    grid.write_text(json.dumps({"alpha": [0.5], "beta": [0.5]}))
+    argv = ["ablate", "--data", str(tiny_data), "--grid", str(grid), "--seeds", "1",
+            "--encoder", "vit", "--batch", "8", "--steps", "2", "--lr", "1e200"]
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        "numeric failure: ablation cell ent-only alpha=0.0 beta=0.0 seed=0: "
+        "matmul produced a non-finite value\n"
+    )
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -1,12 +1,12 @@
 """The runtime depends on numpy and the standard library only, only the
-CLI touches the allocator, only the ablation pool starts threads, through
-ThreadPoolExecutor, no module reads the environment, a package's
+CLI touches the allocator, only the ablation pool starts threads,
+through ThreadPoolExecutor, no module reads the environment, a package's
 ``__init__.py`` binds only its own submodules, every FormatError names a
-byte, a fresh ``import ssam.bench.cli`` loads none of the standard
-modules that only some commands use (``concurrent.futures``, ``hashlib``,
-``json``, ``csv``): each is imported inside the function that needs it,
-and every name that ``perfbench/`` reads or rebinds resolves where it
-looks it up."""
+byte, no module sets numpy's error state outside a ``with`` block, a
+fresh ``import ssam.bench.cli`` loads none of the standard modules that
+only some commands use (``concurrent.futures``, ``hashlib``, ``json``,
+``csv``): each is imported inside the function that needs it, and every
+name that ``perfbench/`` reads or rebinds resolves where it looks it up."""
 
 import ast
 import importlib
@@ -18,7 +18,7 @@ import numpy as np
 
 import ssam
 import ssam.numerics as num
-from ssam.adaptation import AdaptConfig, adapt_batch
+from ssam.adaptation import AdamOptimizer, AdaptConfig, adapt_batch
 from ssam.bench.synthetic import default_encoder
 from ssam.encoders import embed_categories
 
@@ -126,6 +126,30 @@ def test_no_module_reads_the_environment():
                 ]
             ident = getattr(node, "id", None) or getattr(node, "attr", None)
             if ident in ENV_READERS:
+                offenders.append(f"{rel}:{node.lineno}: {ident}")
+    assert not offenders, offenders
+
+
+# what sets numpy's floating-point error state for the whole thread
+ERROR_STATE_SETTERS = {"seterr", "seterrcall"}
+
+
+def test_numpy_error_state_is_set_only_in_with_blocks():
+    # np.errstate restores the caller's state on the way out; a module
+    # that sets it for good changes what every later caller sees, as a
+    # heap or BLAS setting outside the CLI would
+    offenders = []
+    for path, tree in _parsed_modules():
+        rel = path.relative_to(ROOT).as_posix()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "numpy":
+                offenders += [
+                    f"{rel}: from numpy import {a.name}"
+                    for a in node.names
+                    if a.name in ERROR_STATE_SETTERS | {"*"}
+                ]
+            ident = getattr(node, "id", None) or getattr(node, "attr", None)
+            if ident in ERROR_STATE_SETTERS:
                 offenders.append(f"{rel}:{node.lineno}: {ident}")
     assert not offenders, offenders
 
@@ -301,8 +325,9 @@ def test_a_conv_step_and_a_vit_step_send_the_ops_perfbench_times(monkeypatch):
 
     monkeypatch.setattr(num, "custom_node", recording)
     images = np.random.default_rng(3).normal(size=(4, 3, 8, 8))
+    cfg = AdaptConfig(steps_per_batch=1)
     for family in ("conv", "vit"):
         enc = default_encoder(family, images.shape[1:])
         t = embed_categories(3, enc.dim)
-        adapt_batch(enc, images, enc.new_adapter(), t, AdaptConfig(steps_per_batch=1))
+        adapt_batch(enc, images, enc.new_adapter(), t, cfg, AdamOptimizer(cfg.learning_rate))
     assert PERFBENCH_OPS <= sent, sorted(PERFBENCH_OPS - sent)

@@ -7,7 +7,7 @@ import dataclasses
 import inspect
 
 from ssam import numerics as num
-from ssam.adaptation import AdaptConfig, AdaptReport
+from ssam.adaptation import AdaptConfig, AdaptReport, adapt_batch
 from ssam.bench.gradcheck import gradcheck_command
 from ssam.bench.reports import ReportBundle, run_ablation
 from ssam.bench.synthetic import default_encoder
@@ -53,6 +53,7 @@ def test_settings_are_pinned():
         total_objective: ["v", "t", "alpha", "beta"],
         loss_ca: ["p", "t"],
         num.finite_difference_gradient: ["objective", "params"],
+        adapt_batch: ["encoder", "images", "adapter", "t", "cfg", "optimizer"],
         run_ablation: ["encoder", "dataset", "emb", "base_cfg", "grid_alpha", "grid_beta", "seeds"],
         default_encoder: ["family", "image_shape", "insertion_layer"],
         gradcheck_command: ["seed"],
@@ -64,3 +65,10 @@ def test_settings_are_pinned():
     }
     for fn, params in pinned.items():
         assert list(inspect.signature(fn).parameters) == params, fn.__name__
+
+
+def test_adapt_batch_takes_the_callers_optimizer():
+    # run_stream makes a stream's one Adam state; a default here would be
+    # a second optimizer lifetime that no stream uses
+    param = inspect.signature(adapt_batch).parameters["optimizer"]
+    assert param.default is inspect.Parameter.empty
